@@ -65,8 +65,9 @@ def _positive_seconds(text: str) -> float:
 def _add_machine_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--machine", default=None, metavar="NAME_OR_PATH",
-        help="machine to simulate: a registered name (see 'machines') "
-             "or a .json/.toml spec file (default: paxville)",
+        help="machine to simulate: a registered name or fingerprint "
+             "(see 'machines') or a .json/.toml spec file "
+             "(default: paxville)",
     )
 
 
@@ -88,29 +89,33 @@ def _add_workload_option(parser: argparse.ArgumentParser) -> None:
         "--workload", action="append", default=None, metavar="NAME_OR_PATH",
         dest="workloads",
         help="workload(s) for the benchmark-matrix experiments: a "
-             "registered name (see 'workloads') or a .json/.toml spec "
-             "file; repeatable (default: the paper's six NAS class-B "
-             "benchmarks)",
+             "registered name or fingerprint (see 'workloads') or a "
+             ".json/.toml spec file; repeatable (default: the paper's "
+             "six NAS class-B benchmarks)",
     )
 
 
-def _resolve_workload_args(
-    tokens: Optional[List[str]], problem_class: str = "B"
-) -> Optional[List[str]]:
-    """Validate ``--workload`` tokens, or a clean CLI error."""
-    if not tokens:
-        return None
+def _resolve_workload_arg(token: str, problem_class: str = "B"):
+    """Map a workload token to a spec, or a clean CLI error."""
     from repro.workload.registry import (
         UnknownWorkloadError,
         resolve_workload,
     )
-    from repro.workload.spec import WorkloadSpecError
 
+    try:
+        return resolve_workload(token, problem_class)
+    except (UnknownWorkloadError, ValueError) as exc:  # incl. SpecError
+        raise CLIError(str(exc)) from None
+
+
+def _resolve_workload_args(
+    tokens: Optional[List[str]],
+) -> Optional[List[str]]:
+    """Validate ``--workload`` tokens, or a clean CLI error."""
+    if not tokens:
+        return None
     for token in tokens:
-        try:
-            resolve_workload(token, problem_class)
-        except (UnknownWorkloadError, WorkloadSpecError) as exc:
-            raise CLIError(str(exc)) from None
+        _resolve_workload_arg(token)
     return list(tokens)
 
 
@@ -590,6 +595,19 @@ def _validate_fault_spec() -> None:
         raise CLIError(str(exc)) from None
 
 
+def _print_listing(specs, width: int) -> None:
+    """One line per registered spec: name, fingerprint, summary, source."""
+    for name in sorted(specs):
+        spec = specs[name]
+        kv = " ".join(f"{k}={v}" for k, v in spec.summary().items())
+        provenance = (
+            str(spec.source) if spec.source is not None else "built-in"
+        )
+        print(
+            f"{name:{width}s} {spec.short_fingerprint}  {kv}  [{provenance}]"
+        )
+
+
 def _dispatch(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     _validate_fault_spec()
@@ -602,67 +620,31 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "machines":
-        from repro.machine.registry import UnknownMachineError, list_machines
+        from repro.machine.registry import list_machines
         from repro.machine.spec import SpecError
 
-        try:
-            machines = list_machines()
-        except SpecError as exc:
-            raise CLIError(str(exc)) from None
         if args.name is not None:
-            if args.name not in machines:
-                raise CLIError(
-                    str(UnknownMachineError(args.name, sorted(machines)))
-                )
-            for line in _machine_detail_lines(machines[args.name]):
+            for line in _machine_detail_lines(_resolve_machine_arg(args.name)):
                 print(line)
             return 0
-        for name in sorted(machines):
-            spec = machines[name]
-            s = spec.summary()
-            provenance = (
-                str(spec.source) if spec.source is not None else "built-in"
-            )
-            kv = " ".join(f"{k}={v}" for k, v in s.items())
-            print(
-                f"{name:24s} {spec.short_fingerprint}  {kv}  [{provenance}]"
-            )
+        try:
+            _print_listing(list_machines(), width=24)
+        except SpecError as exc:
+            raise CLIError(str(exc)) from None
         return 0
 
     if args.command == "workloads":
-        from repro.workload.registry import (
-            UnknownWorkloadError,
-            list_workloads,
-        )
-        from repro.workload.spec import WorkloadSpecError
+        from repro.workload.registry import list_workloads
 
-        try:
-            specs = list_workloads(args.problem_class)
-        except (WorkloadSpecError, KeyError, ValueError) as exc:
-            raise CLIError(str(exc)) from None
         if args.name is not None:
-            key = next(
-                (k for k in (args.name, args.name.upper(), args.name.lower())
-                 if k in specs),
-                None,
-            )
-            if key is None:
-                raise CLIError(
-                    str(UnknownWorkloadError(args.name, sorted(specs)))
-                )
-            for line in _workload_detail_lines(specs[key]):
+            spec = _resolve_workload_arg(args.name, args.problem_class)
+            for line in _workload_detail_lines(spec):
                 print(line)
             return 0
-        for name in sorted(specs):
-            spec = specs[name]
-            s = spec.summary()
-            provenance = (
-                str(spec.source) if spec.source is not None else "built-in"
-            )
-            kv = " ".join(f"{k}={v}" for k, v in s.items())
-            print(
-                f"{name:14s} {spec.short_fingerprint}  {kv}  [{provenance}]"
-            )
+        try:
+            _print_listing(list_workloads(args.problem_class), width=14)
+        except ValueError as exc:  # incl. SpecError, bad problem class
+            raise CLIError(str(exc)) from None
         return 0
 
     if args.command == "run":
@@ -882,18 +864,9 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
         try:
             bench = resolve_benchmark(args.benchmark)
         except UnknownBenchmarkError:
-            from repro.workload.registry import (
-                UnknownWorkloadError,
-                resolve_workload,
-            )
-            from repro.workload.spec import WorkloadSpecError
-
-            try:
-                bench = resolve_workload(
-                    args.benchmark, args.problem_class
-                ).name
-            except (UnknownWorkloadError, WorkloadSpecError) as exc:
-                raise CLIError(str(exc)) from None
+            bench = _resolve_workload_arg(
+                args.benchmark, args.problem_class
+            ).name
         s = study.speedup(bench, args.config)
         print(f"{bench} on {args.config} "
               f"(class {args.problem_class.upper()}): {s:.2f}x over serial")

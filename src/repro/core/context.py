@@ -157,9 +157,9 @@ class RunContext:
         overrides produce (and memoize) variants — e.g. the ablation
         drivers' perturbed machines or per-class studies.
         """
-        pc = self.problem_class if problem_class is None else problem_class
-        if not isinstance(pc, ProblemClass):
-            pc = ProblemClass.from_str(pc)
+        pc = ProblemClass.from_str(
+            self.problem_class if problem_class is None else problem_class
+        )
         p = self.params if params is _INHERIT else params
         sched = self.scheduler if scheduler is None else scheduler
         o = self.omp if omp is _INHERIT else omp

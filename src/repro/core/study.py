@@ -67,11 +67,7 @@ class Study:
         scheduler: str = "linux_default",
         omp: Optional[OMPEnvironment] = None,
     ):
-        self.problem_class = (
-            problem_class
-            if isinstance(problem_class, ProblemClass)
-            else ProblemClass.from_str(problem_class)
-        )
+        self.problem_class = ProblemClass.from_str(problem_class)
         self.params = params
         self.scheduler_name = scheduler
         self.omp = omp

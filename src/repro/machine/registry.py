@@ -1,30 +1,23 @@
 """The named machine registry: specs under ``machines/`` plus built-ins.
 
-Resolution order for ``repro run --machine <token>``:
-
-* a token containing a path separator or a ``.json``/``.toml`` suffix is
-  loaded directly as a spec file;
-* otherwise the token names a registered machine — the union of the
-  code-defined built-ins (always available, even in an installed package
-  without the repository checkout) and every spec file found in the
-  machines directory (``REPRO_MACHINES_DIR``, defaulting to
-  ``machines/`` at the repository root).  A spec file whose ``name``
-  matches a built-in shadows it, and the listing reports the file as its
-  provenance.
-
-:func:`default_params` is the single place the rest of the codebase gets
-"the platform" from: the registry's default machine (``paxville``),
-memoized per process.
+The registry rules — spec files in ``REPRO_MACHINES_DIR`` (default
+``machines/`` at the repository root) joining the code-defined
+built-ins, and how a ``--machine`` token resolves — are the ones every
+spec kind shares; see :class:`repro.core.specs.SpecRegistry` and
+``docs/EXTENDING.md``.  This module adds the machine-specific parts:
+the compiled-in Paxville built-in (available even in an installed
+package without the repository checkout), and :func:`default_params`,
+the single place the rest of the codebase gets "the platform" from.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
+from repro.core.specs import SpecRegistry, UnknownSpecError
 from repro.machine.params import MachineParams, paxville_params
-from repro.machine.spec import MachineSpec, SpecError, load_spec
+from repro.machine.spec import MachineSpec
 
 __all__ = [
     "DEFAULT_MACHINE",
@@ -40,153 +33,54 @@ __all__ = [
 MACHINES_DIR_ENV = "REPRO_MACHINES_DIR"
 DEFAULT_MACHINE = "paxville"
 
-#: Spec file suffixes the registry scans for, in listing order.
-_SPEC_SUFFIXES = (".json", ".toml")
 
-
-class UnknownMachineError(KeyError):
+class UnknownMachineError(UnknownSpecError):
     """An unregistered machine name (the CLI maps this to exit 2)."""
 
-    def __init__(self, name: str, valid: list):
-        import difflib
-
-        self.machine = name
-        self.valid = list(valid)
-        self.suggestion: Optional[str] = next(
-            iter(difflib.get_close_matches(name, self.valid, n=1)), None
-        )
-        message = (
-            f"unknown machine {name!r}; valid choices: {', '.join(valid)}"
-        )
-        if self.suggestion is not None:
-            message += f" (did you mean {self.suggestion!r}?)"
-        super().__init__(message)
-
-    def __str__(self) -> str:  # KeyError quotes its payload by default
-        return self.args[0]
-
-
-_builtin_cache: Optional[Dict[str, MachineSpec]] = None
+    kind = "machine"
 
 
 def builtin_specs() -> Dict[str, MachineSpec]:
     """Code-defined specs, available without any spec files on disk."""
-    global _builtin_cache
-    if _builtin_cache is None:
-        _builtin_cache = {
-            DEFAULT_MACHINE: MachineSpec.from_params(
-                DEFAULT_MACHINE,
-                paxville_params(),
-                description=(
-                    "Dual dual-core HT Xeon (Paxville) of the paper's "
-                    "Dell PowerEdge 2850"
-                ),
+    return {
+        DEFAULT_MACHINE: MachineSpec.from_params(
+            DEFAULT_MACHINE,
+            paxville_params(),
+            description=(
+                "Dual dual-core HT Xeon (Paxville) of the paper's "
+                "Dell PowerEdge 2850"
             ),
-        }
-    return dict(_builtin_cache)
+        ),
+    }
+
+
+_REGISTRY = SpecRegistry(
+    MachineSpec,
+    UnknownMachineError,
+    MACHINES_DIR_ENV,
+    # Resolved once: resolving ``__file__`` walks the whole path through
+    # realpath, too slow for the per-call signature check.
+    Path(__file__).resolve().parents[3] / "machines",
+    lambda variant: builtin_specs(),
+    lambda data, source, resolve: MachineSpec.from_dict(data, source),
+)
 
 
 def machines_dir() -> Optional[Path]:
-    """The spec-file directory, or ``None`` when absent.
-
-    ``REPRO_MACHINES_DIR`` overrides the default location (``machines/``
-    at the repository root, resolved relative to this package so tests
-    and the CLI agree regardless of the working directory).
-    """
-    env = os.environ.get(MACHINES_DIR_ENV, "").strip()
-    if env:
-        path = Path(env)
-        return path if path.is_dir() else None
-    return _default_machines_dir if _default_machines_dir.is_dir() else None
-
-
-#: ``machines/`` at the repository root; computed once (resolving
-#: ``__file__`` walks the whole path through realpath, too slow for the
-#: per-call registry signature check).
-_default_machines_dir = Path(__file__).resolve().parents[3] / "machines"
-
-
-#: One-generation registry cache.  ``machine_params()`` sits on hot
-#: experiment paths, so a listing must not re-parse five spec files per
-#: call; instead the parsed registry is reused while the directory's
-#: signature — one scandir pass of (name, mtime_ns, size) — is
-#: unchanged, so edits are picked up without restarting the process.
-#: MachineSpec is frozen, making the shared instances safe.
-_registry_cache: Optional[
-    Tuple[Optional[Path], Optional[tuple], Dict[str, MachineSpec]]
-] = None
-
-
-def _dir_signature(directory: Path) -> tuple:
-    entries = []
-    with os.scandir(directory) as it:
-        for entry in it:
-            if entry.name.lower().endswith(_SPEC_SUFFIXES):
-                stat = entry.stat()
-                entries.append(
-                    (entry.name, stat.st_mtime_ns, stat.st_size)
-                )
-    return tuple(sorted(entries))
+    """The spec-file directory, or ``None`` when absent."""
+    return _REGISTRY.directory()
 
 
 def list_machines() -> Dict[str, MachineSpec]:
-    """Every registered machine, keyed by spec name.
-
-    File-backed specs (with ``source`` set to their path) shadow
-    same-named built-ins; two *files* claiming one name is an error.
-    """
-    global _registry_cache
-    directory = machines_dir()
-    signature = (
-        _dir_signature(directory) if directory is not None else None
-    )
-    if (
-        _registry_cache is not None
-        and _registry_cache[0] == directory
-        and _registry_cache[1] == signature
-    ):
-        return dict(_registry_cache[2])
-    out = builtin_specs()
-    if directory is not None:
-        seen_files: Dict[str, Path] = {}
-        for suffix in _SPEC_SUFFIXES:
-            for path in sorted(directory.glob(f"*{suffix}")):
-                spec = load_spec(path)
-                if spec.name in seen_files:
-                    raise SpecError(
-                        f"duplicate machine name {spec.name!r}: "
-                        f"{seen_files[spec.name]} and {path}"
-                    )
-                seen_files[spec.name] = path
-                out[spec.name] = spec
-    _registry_cache = (directory, signature, out)
-    return dict(out)
+    """Every registered machine, keyed by spec name."""
+    return _REGISTRY.listing()
 
 
 def resolve_machine(
     token: Union[str, Path, MachineSpec]
 ) -> MachineSpec:
-    """Resolve a ``--machine`` token to a validated spec.
-
-    Accepts a spec instance (returned as-is), a path to a spec file, or
-    a registered machine name.
-    """
-    if isinstance(token, MachineSpec):
-        return token
-    if isinstance(token, Path):
-        return load_spec(token)
-    looks_like_path = (
-        os.sep in token
-        or "/" in token
-        or token.lower().endswith(_SPEC_SUFFIXES)
-    )
-    if looks_like_path:
-        return load_spec(Path(token))
-    machines = list_machines()
-    try:
-        return machines[token]
-    except KeyError:
-        raise UnknownMachineError(token, sorted(machines)) from None
+    """Resolve a ``--machine`` token (spec, path, name or fingerprint)."""
+    return _REGISTRY.resolve(token)
 
 
 _default_params: Optional[MachineParams] = None

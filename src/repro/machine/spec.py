@@ -22,12 +22,19 @@ schema and the ~20-line recipe for adding a machine.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.specs import (
+    SpecError,
+    canonical_sha256,
+    check_header,
+    check_leaf,
+    check_table,
+    load_spec_file,
+    save_tree,
+)
 from repro.machine.params import (
     CACHE_SCOPES,
     BranchPredictorParams,
@@ -83,19 +90,6 @@ _STRUCTURED_KEYS = ("hierarchy", "topology")
 
 #: Default machine shape (the paper's 2s x 1 x 2c x 2t PowerEdge 2850).
 _TOPO_DEFAULT = TopologyParams()
-
-
-class SpecError(ValueError):
-    """A machine spec failed to load or validate.
-
-    Carries the dotted path of the offending field so CLI error lines
-    point at the exact key (``machine.l2.associativity: ...``).
-    """
-
-    def __init__(self, message: str, path: Sequence[str] = ()):
-        self.path = tuple(path)
-        prefix = ".".join(self.path)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
 
 
 #: Sentinel distinguishing "no value given" from an explicit ``None``.
@@ -213,27 +207,6 @@ class SpecOverride:
         return node
 
 
-def _check_type(value: Any, annotation: type, path: Sequence[str]) -> Any:
-    """Validate a leaf value against its dataclass field type."""
-    if annotation is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SpecError(f"expected a number, got {value!r}", path)
-        return float(value)
-    if annotation is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SpecError(f"expected an integer, got {value!r}", path)
-        return value
-    if annotation is bool:
-        if not isinstance(value, bool):
-            raise SpecError(f"expected a boolean, got {value!r}", path)
-        return value
-    if annotation is str:
-        if not isinstance(value, str):
-            raise SpecError(f"expected a string, got {value!r}", path)
-        return value
-    return value  # pragma: no cover - no other leaf types in the schema
-
-
 def _build_section(
     cls: type, data: Mapping[str, Any], base: Any, path: Sequence[str]
 ) -> Any:
@@ -242,24 +215,12 @@ def _build_section(
     Omitted fields inherit the *base* instance's values (the Paxville
     defaults for a fresh spec, the parent spec's values for overrides).
     """
-    if not isinstance(data, Mapping):
-        raise SpecError(f"expected a table, got {data!r}", path)
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
-    if unknown:
-        raise SpecError(
-            f"unknown field(s) {sorted(unknown)} (valid: {sorted(fields)})",
-            path,
-        )
+    check_table(data, path, fields)
     kwargs = {}
     for name, f in fields.items():
         if name in data:
-            annotation = f.type if isinstance(f.type, type) else {
-                "int": int, "float": float, "bool": bool, "str": str
-            }.get(str(f.type), object)
-            kwargs[name] = _check_type(
-                data[name], annotation, (*path, name)
-            )
+            kwargs[name] = check_leaf(data[name], f.type, (*path, name))
         else:
             kwargs[name] = getattr(base, name)
     try:
@@ -279,7 +240,7 @@ def _check_matrix(
         if not isinstance(row, (list, tuple)):
             raise SpecError(f"expected a row, got {row!r}", (*path, str(i)))
         rows.append(tuple(
-            _check_type(v, float, (*path, str(i), str(j)))
+            check_leaf(v, float, (*path, str(i), str(j)))
             for j, v in enumerate(row)
         ))
     return tuple(rows)
@@ -289,23 +250,15 @@ def _build_topology_params(
     data: Mapping[str, Any], path: Sequence[str]
 ) -> TopologyParams:
     """Parse the ``machine.topology`` table (sparse over the default)."""
-    if not isinstance(data, Mapping):
-        raise SpecError(f"expected a table, got {data!r}", path)
-    valid = {
+    check_table(data, path, (
         "sockets", "chips_per_socket", "cores_per_chip",
         "threads_per_core", "core_classes", "numa",
-    }
-    unknown = set(data) - valid
-    if unknown:
-        raise SpecError(
-            f"unknown field(s) {sorted(unknown)} (valid: {sorted(valid)})",
-            path,
-        )
+    ))
     kwargs: Dict[str, Any] = {}
     for name in ("sockets", "chips_per_socket", "cores_per_chip",
                  "threads_per_core"):
         if name in data:
-            kwargs[name] = _check_type(data[name], int, (*path, name))
+            kwargs[name] = check_leaf(data[name], int, (*path, name))
     if "core_classes" in data:
         raw = data["core_classes"]
         if not isinstance(raw, (list, tuple)):
@@ -316,16 +269,9 @@ def _build_topology_params(
         classes = []
         for i, entry in enumerate(raw):
             cpath = (*path, "core_classes", str(i))
-            if not isinstance(entry, Mapping):
-                raise SpecError(f"expected a table, got {entry!r}", cpath)
-            cvalid = {"name", "chips", "clock_scale", "issue_width_scale"}
-            cunknown = set(entry) - cvalid
-            if cunknown:
-                raise SpecError(
-                    f"unknown field(s) {sorted(cunknown)} "
-                    f"(valid: {sorted(cvalid)})",
-                    cpath,
-                )
+            check_table(entry, cpath, (
+                "name", "chips", "clock_scale", "issue_width_scale",
+            ))
             if "name" not in entry or "chips" not in entry:
                 raise SpecError("needs 'name' and 'chips'", cpath)
             chips = entry["chips"]
@@ -338,13 +284,13 @@ def _build_topology_params(
                 )
             try:
                 classes.append(CoreClassParams(
-                    name=_check_type(entry["name"], str, (*cpath, "name")),
+                    name=check_leaf(entry["name"], str, (*cpath, "name")),
                     chips=tuple(chips),
-                    clock_scale=_check_type(
+                    clock_scale=check_leaf(
                         entry.get("clock_scale", 1.0), float,
                         (*cpath, "clock_scale"),
                     ),
-                    issue_width_scale=_check_type(
+                    issue_width_scale=check_leaf(
                         entry.get("issue_width_scale", 1.0), float,
                         (*cpath, "issue_width_scale"),
                     ),
@@ -355,16 +301,7 @@ def _build_topology_params(
     if "numa" in data:
         raw = data["numa"]
         npath = (*path, "numa")
-        if not isinstance(raw, Mapping):
-            raise SpecError(f"expected a table, got {raw!r}", npath)
-        nvalid = {"latency_scale", "bandwidth_scale"}
-        nunknown = set(raw) - nvalid
-        if nunknown:
-            raise SpecError(
-                f"unknown field(s) {sorted(nunknown)} "
-                f"(valid: {sorted(nvalid)})",
-                npath,
-            )
+        check_table(raw, npath, ("latency_scale", "bandwidth_scale"))
         try:
             kwargs["numa"] = NumaParams(
                 latency_scale=_check_matrix(
@@ -406,22 +343,14 @@ def _build_hierarchy(
     parsed = []
     for i, entry in enumerate(levels):
         lpath = (*path, str(i))
-        if not isinstance(entry, Mapping):
-            raise SpecError(f"expected a table, got {entry!r}", lpath)
-        valid = {
+        check_table(entry, lpath, (
             "name", "scope", "size_bytes", "line_bytes", "associativity",
             "latency_cycles", "shared_contexts", "write_allocate",
-        }
-        unknown = set(entry) - valid
-        if unknown:
-            raise SpecError(
-                f"unknown field(s) {sorted(unknown)} (valid: {sorted(valid)})",
-                lpath,
-            )
+        ))
         scope = entry.get("scope")
         if scope is None:
             scope = "core" if i == 0 else "chip"
-        scope = _check_type(scope, str, (*lpath, "scope"))
+        scope = check_leaf(scope, str, (*lpath, "scope"))
         if scope not in CACHE_SCOPES:
             raise SpecError(
                 f"must be one of {list(CACHE_SCOPES)}, got {scope!r}",
@@ -438,7 +367,7 @@ def _build_hierarchy(
                 raise SpecError(str(exc), (*lpath, "scope")) from None
         cache = _build_section(CacheParams, cache_fields, inherit, lpath)
         default_name = ("l1d", "l2", "l3", "l4")[i]
-        name = _check_type(
+        name = check_leaf(
             entry.get("name", default_name), str, (*lpath, "name")
         )
         parsed.append((name, scope, cache))
@@ -504,28 +433,17 @@ class MachineSpec:
         inherit the Paxville baseline, so a new machine is described by
         its deltas only (see ``docs/MACHINES.md``).
         """
-        if not isinstance(data, Mapping):
-            raise SpecError(f"spec must be a mapping, got {type(data).__name__}")
-        schema = data.get("schema", SPEC_SCHEMA_VERSION)
-        if schema != SPEC_SCHEMA_VERSION:
-            raise SpecError(
-                f"unsupported schema version {schema!r} "
-                f"(this build reads version {SPEC_SCHEMA_VERSION})",
-                ("schema",),
-            )
-        allowed = {"schema", "name", "description", "machine"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise SpecError(
-                f"unknown top-level key(s) {sorted(unknown)} "
-                f"(valid: {sorted(allowed)})"
-            )
-        name = data.get("name")
-        if not isinstance(name, str) or not name:
-            raise SpecError("a non-empty string is required", ("name",))
-        description = data.get("description", "")
-        if not isinstance(description, str):
-            raise SpecError("expected a string", ("description",))
+        check_table(data, ())
+        name = check_header(
+            data, data.get("schema", SPEC_SCHEMA_VERSION), SPEC_SCHEMA_VERSION
+        )
+        check_table(
+            data, (), ("schema", "name", "description", "machine"),
+            "top-level key(s)",
+        )
+        description = check_leaf(
+            data.get("description", ""), str, ("description",)
+        )
         machine = data.get("machine", {})
         params = cls._build_params(machine)
         spec = cls(
@@ -536,15 +454,10 @@ class MachineSpec:
 
     @staticmethod
     def _build_params(machine: Mapping[str, Any]) -> MachineParams:
-        if not isinstance(machine, Mapping):
-            raise SpecError("expected a table", ("machine",))
-        valid = set(_SECTIONS) | set(_SCALARS) | set(_STRUCTURED_KEYS)
-        unknown = set(machine) - valid
-        if unknown:
-            raise SpecError(
-                f"unknown key(s) {sorted(unknown)} (valid: {sorted(valid)})",
-                ("machine",),
-            )
+        check_table(
+            machine, ("machine",),
+            (*_SECTIONS, *_SCALARS, *_STRUCTURED_KEYS), "key(s)",
+        )
         base = MachineParams()
         kwargs: Dict[str, Any] = {}
         topo = _TOPO_DEFAULT
@@ -574,7 +487,7 @@ class MachineSpec:
                 )
         for scalar, annotation in _SCALARS.items():
             if scalar in machine:
-                kwargs[scalar] = _check_type(
+                kwargs[scalar] = check_leaf(
                     machine[scalar], annotation, ("machine", scalar)
                 )
         try:
@@ -683,10 +596,7 @@ class MachineSpec:
     def fingerprint(self) -> str:
         """SHA-256 over the canonical JSON form: identical machine
         contents — however loaded or derived — hash identically."""
-        payload = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return canonical_sha256(self.to_dict())
 
     @property
     def short_fingerprint(self) -> str:
@@ -694,11 +604,7 @@ class MachineSpec:
 
     def save(self, path: Union[str, Path]) -> Path:
         """Write the spec as pretty-printed JSON."""
-        path = Path(path)
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        return path
+        return save_tree(self.to_dict(), path)
 
     # ------------------------------------------------------------------
     # derivation
@@ -756,32 +662,6 @@ class MachineSpec:
 
 def load_spec(path: Union[str, Path]) -> MachineSpec:
     """Load and validate a spec file (``.json`` or ``.toml``)."""
-    path = Path(path)
-    suffix = path.suffix.lower()
-    try:
-        if suffix == ".json":
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        elif suffix == ".toml":
-            try:
-                import tomllib
-            except ImportError:  # pragma: no cover - Python < 3.11
-                raise SpecError(
-                    f"{path}: TOML specs need Python 3.11+ (tomllib); "
-                    "use JSON instead"
-                ) from None
-            with open(path, "rb") as fh:
-                data = tomllib.load(fh)
-        else:
-            raise SpecError(
-                f"{path}: unsupported spec format {suffix!r} "
-                "(expected .json or .toml)"
-            )
-    except OSError as exc:
-        raise SpecError(f"cannot read machine spec {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{path}: invalid JSON: {exc}") from None
-    try:
-        return MachineSpec.from_dict(data, source=path)
-    except SpecError as exc:
-        raise SpecError(f"{path}: {exc}") from None
+    return load_spec_file(
+        path, lambda data, source, resolve: MachineSpec.from_dict(data, source)
+    )

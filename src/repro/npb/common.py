@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Union
 
 
 class ProblemClass(enum.Enum):
@@ -17,7 +17,10 @@ class ProblemClass(enum.Enum):
     C = "C"
 
     @classmethod
-    def from_str(cls, letter: str) -> "ProblemClass":
+    def from_str(cls, letter: Union[str, "ProblemClass"]) -> "ProblemClass":
+        """The class for a letter (any case); a class passes through."""
+        if isinstance(letter, cls):
+            return letter
         try:
             return cls[letter.upper()]
         except KeyError:

@@ -1,20 +1,19 @@
 """Suite registry: build any NAS workload model by name.
 
-Since the :class:`~repro.workload.spec.WorkloadSpec` layer landed, the
-eight NAS modules are spec *producers*: :func:`benchmark_spec` captures
-each module's built workload as a validated, fingerprintable spec, and
-:func:`build_workload` builds through that spec path by default.  The
-pre-spec direct path is kept behind ``REPRO_NPB_BUILD=legacy`` solely so
-CI can assert the two produce byte-identical artifacts; the built
-:class:`~repro.trace.phase.Workload` objects are equal either way.
+The eight NAS modules are spec *producers*: :func:`benchmark_spec`
+captures each module's built workload as a validated, fingerprintable
+:class:`~repro.workload.spec.WorkloadSpec`, and :func:`build_workload`
+builds through that spec.  ``tests/test_workload_spec.py`` pins the
+spec-built :class:`~repro.trace.phase.Workload` equal to each module's
+direct ``build`` for every benchmark and class.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-from typing import List, Optional, Union
+from typing import List, Union
 
+from repro.core.specs import UnknownSpecError
 from repro.npb import bt, cg, ep, ft, is_, lu, mg, sp
 from repro.npb.common import BenchmarkInfo, ProblemClass
 from repro.trace.phase import Workload
@@ -37,37 +36,12 @@ ALL_BENCHMARKS: List[str] = sorted(_MODULES)
 #: reconstructed from the garbled OCR, see EXPERIMENTS.md §reconstruction).
 PAPER_BENCHMARKS: List[str] = ["CG", "MG", "SP", "FT", "LU", "EP"]
 
-#: Build-path selector: ``spec`` (default) routes builds through the
-#: WorkloadSpec producers; ``legacy`` calls the module builders directly.
-#: Exists for the CI byte-identity gate, not for users.
-BUILD_PATH_ENV = "REPRO_NPB_BUILD"
 
-
-class UnknownBenchmarkError(KeyError):
+class UnknownBenchmarkError(UnknownSpecError):
     """An unknown NAS benchmark name (the CLI maps this to exit 2)."""
 
-    def __init__(self, name: str, valid: List[str]):
-        import difflib
-
-        self.benchmark = name
-        self.valid = list(valid)
-        self.suggestion: Optional[str] = next(
-            iter(
-                difflib.get_close_matches(
-                    name.upper(), self.valid, n=1
-                )
-            ),
-            None,
-        )
-        message = (
-            f"unknown benchmark {name!r}; available: {', '.join(valid)}"
-        )
-        if self.suggestion is not None:
-            message += f" (did you mean {self.suggestion!r}?)"
-        super().__init__(message)
-
-    def __str__(self) -> str:  # KeyError quotes its payload by default
-        return self.args[0]
+    kind = "benchmark"
+    choices_label = "available"
 
 
 def resolve_benchmark(name: str) -> str:
@@ -82,14 +56,6 @@ def resolve_benchmark(name: str) -> str:
     return key
 
 
-def _resolve_class(
-    problem_class: Union[ProblemClass, str]
-) -> ProblemClass:
-    if isinstance(problem_class, ProblemClass):
-        return problem_class
-    return ProblemClass.from_str(problem_class)
-
-
 # The memo bound is nominal: the whole NAS space is 8 benchmarks x 5
 # classes = 40 entries, so 64 is never evicted in practice — it exists
 # to cap memory for pathological callers now that workload counts are
@@ -99,11 +65,6 @@ def _resolve_class(
 @functools.lru_cache(maxsize=64)
 def _spec_cached(key: str, problem_class: ProblemClass):
     return _MODULES[key].spec(problem_class)
-
-
-@functools.lru_cache(maxsize=64)
-def _legacy_build_cached(key: str, problem_class: ProblemClass) -> Workload:
-    return _MODULES[key].build(problem_class)
 
 
 def benchmark_spec(
@@ -116,18 +77,16 @@ def benchmark_spec(
     which also lets the pure per-mix memoization in
     :mod:`repro.trace.patterns` hit across studies.
     """
-    return _spec_cached(resolve_benchmark(name), _resolve_class(problem_class))
+    return _spec_cached(
+        resolve_benchmark(name), ProblemClass.from_str(problem_class)
+    )
 
 
 def build_workload(
     name: str, problem_class: Union[ProblemClass, str] = ProblemClass.B
 ) -> Workload:
     """Build a benchmark workload model by name (case-insensitive)."""
-    key = resolve_benchmark(name)
-    pc = _resolve_class(problem_class)
-    if os.environ.get(BUILD_PATH_ENV, "spec") == "legacy":
-        return _legacy_build_cached(key, pc)
-    return _spec_cached(key, pc).build()
+    return benchmark_spec(name, problem_class).build()
 
 
 def benchmark_info(name: str) -> BenchmarkInfo:

@@ -38,7 +38,6 @@ from repro.machine.configurations import CONFIGURATIONS
 from repro.machine.registry import (
     DEFAULT_MACHINE,
     UnknownMachineError,
-    list_machines,
     resolve_machine,
 )
 from repro.machine.spec import MachineSpec, SpecError
@@ -113,30 +112,15 @@ class JobSpec:
 def _resolve_machine_token(token: Any) -> MachineSpec:
     """A machine by name, spec-file path, fingerprint, or spec."""
     if token is None:
-        return resolve_machine(DEFAULT_MACHINE)
-    if isinstance(token, MachineSpec):
-        return token
-    if isinstance(token, Path):
-        token = str(token)
-    if not isinstance(token, str) or not token.strip():
+        token = DEFAULT_MACHINE
+    if isinstance(token, str):
+        token = token.strip()
+    if not isinstance(token, (str, Path, MachineSpec)) or token == "":
         raise JobSpecError(f"machine: expected a string, got {token!r}")
-    token = token.strip()
     try:
         return resolve_machine(token)
-    except UnknownMachineError:
-        pass  # maybe a fingerprint
-    except SpecError as exc:
+    except (UnknownMachineError, SpecError) as exc:
         raise JobSpecError(f"machine: {exc}") from None
-    matches = [
-        spec for spec in list_machines().values()
-        if token in (spec.fingerprint, spec.short_fingerprint)
-    ]
-    if len(matches) == 1:
-        return matches[0]
-    raise JobSpecError(
-        f"machine: unknown name, path or fingerprint {token!r}; "
-        f"registered: {', '.join(sorted(list_machines()))}"
-    )
 
 
 def _resolve_workload_token(token: Any, problem_class: str) -> str:
@@ -160,29 +144,13 @@ def _resolve_workload_token(token: Any, problem_class: str) -> str:
         pass
     from repro.workload.registry import (
         UnknownWorkloadError,
-        list_workloads,
         resolve_workload,
     )
-    from repro.workload.spec import WorkloadSpecError
 
     try:
         spec = resolve_workload(token, problem_class)
-    except UnknownWorkloadError:
-        spec = None
-    except WorkloadSpecError as exc:
+    except (UnknownWorkloadError, SpecError) as exc:
         raise JobSpecError(f"workload: {exc}") from None
-    if spec is None:
-        matches = [
-            s for s in list_workloads(problem_class).values()
-            if token in (s.fingerprint, s.short_fingerprint)
-        ]
-        if len(matches) != 1:
-            raise JobSpecError(
-                f"workload: unknown name, path or fingerprint {token!r}; "
-                f"registered: "
-                f"{', '.join(sorted(list_workloads(problem_class)))}"
-            ) from None
-        spec = matches[0]
     try:
         return resolve_benchmark(spec.name)
     except UnknownBenchmarkError:

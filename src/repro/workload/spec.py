@@ -33,12 +33,19 @@ schema and the ~30-line recipe for adding a workload.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.specs import (
+    SpecError,
+    canonical_sha256,
+    check_header,
+    check_leaf,
+    check_table,
+    load_spec_file,
+    save_tree,
+)
 from repro.trace.patterns import (
     AccessMix,
     AccessPattern,
@@ -68,15 +75,6 @@ _PATTERN_KINDS: Dict[str, type] = {
 }
 _KIND_OF_PATTERN = {cls: kind for kind, cls in _PATTERN_KINDS.items()}
 
-#: Leaf annotations the schema knows how to check (the dataclasses use
-#: ``from __future__ import annotations``, so field types are strings).
-_LEAF_TYPES: Dict[str, type] = {
-    "int": int,
-    "float": float,
-    "bool": bool,
-    "str": str,
-}
-
 #: Spec spelling of :attr:`Phase.parallel` (the OpenMP construct).
 _OPENMP_VALUES = ("parallel", "serial")
 
@@ -92,50 +90,9 @@ _TOP_LEVEL_KEYS = (
 _WORKLOAD_KEYS = ("name", "problem_class", "scale", "phases")
 
 
-class WorkloadSpecError(ValueError):
-    """A workload spec failed to load or validate.
-
-    Carries the dotted path of the offending field so CLI error lines
-    point at the exact key (``workload.phases[2].access_mix[0].kind``).
-    """
-
-    def __init__(self, message: str, path: Sequence[str] = ()):
-        self.path = tuple(path)
-        prefix = ".".join(self.path)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
-
-
-def _check_leaf(value: Any, annotation: type, path: Sequence[str]) -> Any:
-    """Validate a leaf value against its dataclass field type.
-
-    Integer-valued floats are coerced to ``float`` (JSON and TOML both
-    allow ``8`` where a model parameter is ``8.0``); the conversion is
-    exact for every value the schema can hold, so the canonical form —
-    and therefore the fingerprint — does not depend on the spelling.
-    """
-    if annotation is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise WorkloadSpecError(f"expected a number, got {value!r}", path)
-        return float(value)
-    if annotation is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise WorkloadSpecError(f"expected an integer, got {value!r}", path)
-        return value
-    if annotation is bool:
-        if not isinstance(value, bool):
-            raise WorkloadSpecError(f"expected a boolean, got {value!r}", path)
-        return value
-    if annotation is str:
-        if not isinstance(value, str):
-            raise WorkloadSpecError(f"expected a string, got {value!r}", path)
-        return value
-    raise WorkloadSpecError(f"unsupported field type {annotation!r}", path)
-
-
-def _require_table(value: Any, path: Sequence[str]) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
-        raise WorkloadSpecError(f"expected a table, got {value!r}", path)
-    return value
+#: Workload specs share the one spec error type (dotted field paths
+#: like ``workload.phases[2].access_mix[0].kind``).
+WorkloadSpecError = SpecError
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +115,7 @@ def _pattern_to_dict(weight: float, pattern: AccessPattern) -> Dict[str, Any]:
 def _pattern_from_dict(
     entry: Any, path: Sequence[str]
 ) -> Tuple[float, AccessPattern]:
-    table = _require_table(entry, path)
+    table = check_table(entry, path)
     kind = table.get("kind")
     if kind not in _PATTERN_KINDS:
         raise WorkloadSpecError(
@@ -168,7 +125,7 @@ def _pattern_from_dict(
         )
     if "weight" not in table:
         raise WorkloadSpecError("missing required field", tuple(path) + ("weight",))
-    weight = _check_leaf(table["weight"], float, tuple(path) + ("weight",))
+    weight = check_leaf(table["weight"], float, tuple(path) + ("weight",))
     cls = _PATTERN_KINDS[kind]
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs: Dict[str, Any] = {}
@@ -181,10 +138,7 @@ def _pattern_from_dict(
                 f"(valid: {sorted(fields)})",
                 tuple(path) + (key,),
             )
-        kwargs[key] = _check_leaf(
-            value, _LEAF_TYPES.get(fields[key].type, object),
-            tuple(path) + (key,),
-        )
+        kwargs[key] = check_leaf(value, fields[key].type, tuple(path) + (key,))
     if "footprint_bytes" not in kwargs:
         raise WorkloadSpecError(
             "missing required field", tuple(path) + ("footprint_bytes",)
@@ -237,7 +191,7 @@ def _phase_from_dict(
     overridden (derived specs); without it, omitted optional fields take
     the :class:`Phase` defaults.
     """
-    table = _require_table(data, path)
+    table = check_table(data, path)
     merged: Dict[str, Any] = dict(base or {})
     merged.update(table)
     kwargs: Dict[str, Any] = {}
@@ -272,10 +226,8 @@ def _phase_from_dict(
                 tuple(path) + ("parallel",),
             )
         elif key in _PHASE_FIELDS:
-            kwargs[key] = _check_leaf(
-                value,
-                _LEAF_TYPES.get(_PHASE_FIELDS[key].type, object),
-                tuple(path) + (key,),
+            kwargs[key] = check_leaf(
+                value, _PHASE_FIELDS[key].type, tuple(path) + (key,)
             )
         else:
             valid = sorted(
@@ -332,29 +284,14 @@ class WorkloadSpec:
         provides it); a spec using ``base`` outside a registry context is
         an error, so standalone trees stay self-contained.
         """
-        table = _require_table(data, ())
-        unknown = sorted(set(table) - set(_TOP_LEVEL_KEYS))
-        if unknown:
-            raise WorkloadSpecError(
-                f"unknown top-level keys {unknown} "
-                f"(valid: {sorted(_TOP_LEVEL_KEYS)})"
-            )
-        schema = table.get("schema")
-        if schema != WORKLOAD_SCHEMA_VERSION:
-            raise WorkloadSpecError(
-                f"unsupported schema version {schema!r} "
-                f"(this build reads version {WORKLOAD_SCHEMA_VERSION})",
-                ("schema",),
-            )
-        name = table.get("name")
-        if not isinstance(name, str) or not name:
-            raise WorkloadSpecError(
-                f"expected a non-empty string, got {name!r}", ("name",)
-            )
+        table = check_table(data, (), _TOP_LEVEL_KEYS, "top-level keys")
+        name = check_header(
+            table, table.get("schema"), WORKLOAD_SCHEMA_VERSION
+        )
 
         base_spec: Optional[WorkloadSpec] = None
         if "base" in table:
-            base_name = _check_leaf(table["base"], str, ("base",))
+            base_name = check_leaf(table["base"], str, ("base",))
             if resolve is None:
                 raise WorkloadSpecError(
                     "base inheritance needs a registry context "
@@ -363,7 +300,7 @@ class WorkloadSpec:
                 )
             base_spec = resolve(base_name)
 
-        description = _check_leaf(
+        description = check_leaf(
             table.get(
                 "description",
                 base_spec.description if base_spec else "",
@@ -371,14 +308,14 @@ class WorkloadSpec:
             str,
             ("description",),
         )
-        kind = _check_leaf(
+        kind = check_leaf(
             table.get("kind", base_spec.kind if base_spec else "kernel"),
             str,
             ("kind",),
         )
         if not kind:
             raise WorkloadSpecError("expected a non-empty string", ("kind",))
-        score = _check_leaf(
+        score = check_leaf(
             table.get(
                 "memory_bound_score",
                 base_spec.memory_bound_score if base_spec else 0.5,
@@ -412,7 +349,7 @@ class WorkloadSpec:
 
     @staticmethod
     def _build_root_workload(spec_name: str, wtree: Any) -> Workload:
-        table = _require_table(wtree, ("workload",))
+        table = check_table(wtree, ("workload",))
         unknown = sorted(set(table) - {"name", "problem_class", "phases"})
         if unknown:
             raise WorkloadSpecError(
@@ -420,8 +357,8 @@ class WorkloadSpec:
                 f"'problem_class']; 'scale' needs a base)",
                 ("workload",),
             )
-        wname = _check_leaf(table.get("name", spec_name), str, ("workload", "name"))
-        pclass = _check_leaf(
+        wname = check_leaf(table.get("name", spec_name), str, ("workload", "name"))
+        pclass = check_leaf(
             table.get("problem_class", "B"), str, ("workload", "problem_class")
         )
         phases_node = table.get("phases")
@@ -446,23 +383,20 @@ class WorkloadSpec:
         spec_name: str, wtree: Any, base_spec: "WorkloadSpec"
     ) -> Workload:
         """Sparse inheritance: start from the base's canonical form."""
-        table = _require_table(wtree, ("workload",)) if wtree is not None else {}
-        unknown = sorted(set(table) - set(_WORKLOAD_KEYS))
-        if unknown:
-            raise WorkloadSpecError(
-                f"unknown keys {unknown} (valid: {sorted(_WORKLOAD_KEYS)})",
-                ("workload",),
-            )
+        table = check_table(
+            {} if wtree is None else wtree, ("workload",), _WORKLOAD_KEYS,
+            "keys",
+        )
         base_tree = base_spec.to_dict()["workload"]
-        wname = _check_leaf(
+        wname = check_leaf(
             table.get("name", spec_name), str, ("workload", "name")
         )
-        pclass = _check_leaf(
+        pclass = check_leaf(
             table.get("problem_class", base_tree["problem_class"]),
             str,
             ("workload", "problem_class"),
         )
-        scale = _check_leaf(
+        scale = check_leaf(
             table.get("scale", 1.0), float, ("workload", "scale")
         )
         if scale <= 0:
@@ -471,7 +405,7 @@ class WorkloadSpec:
             )
 
         overrides = table.get("phases", {})
-        overrides = _require_table(overrides, ("workload", "phases"))
+        overrides = check_table(overrides, ("workload", "phases"))
         base_phases = {p["name"]: p for p in base_tree["phases"]}
         unknown_phases = sorted(set(overrides) - set(base_phases))
         if unknown_phases:
@@ -549,10 +483,7 @@ class WorkloadSpec:
     @property
     def fingerprint(self) -> str:
         """sha256 over the canonical JSON form (spelling-independent)."""
-        canon = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        return canonical_sha256(self.to_dict())
 
     @property
     def short_fingerprint(self) -> str:
@@ -564,12 +495,7 @@ class WorkloadSpec:
 
     def save(self, path: Union[str, Path]) -> Path:
         """Write the canonical JSON form (pretty-printed, sorted keys)."""
-        path = Path(path)
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return path
+        return save_tree(self.to_dict(), path)
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, str]:
@@ -599,31 +525,4 @@ def load_workload_spec(
     resolve: Optional[Callable[[str], WorkloadSpec]] = None,
 ) -> WorkloadSpec:
     """Load and validate a spec file (``.json`` or ``.toml``)."""
-    path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".json":
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise WorkloadSpecError(f"cannot read {path}: {exc}") from None
-    elif suffix == ".toml":
-        try:
-            import tomllib
-        except ImportError:
-            raise WorkloadSpecError(
-                f"cannot read {path}: TOML specs need Python >= 3.11 "
-                f"(tomllib); use the JSON form instead"
-            ) from None
-        try:
-            data = tomllib.loads(path.read_text(encoding="utf-8"))
-        except (OSError, tomllib.TOMLDecodeError) as exc:
-            raise WorkloadSpecError(f"cannot read {path}: {exc}") from None
-    else:
-        raise WorkloadSpecError(
-            f"unsupported spec suffix {path.suffix!r} "
-            f"(expected .json or .toml)"
-        )
-    try:
-        return WorkloadSpec.from_dict(data, source=path, resolve=resolve)
-    except WorkloadSpecError as exc:
-        raise WorkloadSpecError(f"{path}: {exc}") from None
+    return load_spec_file(path, WorkloadSpec.from_dict, resolve)

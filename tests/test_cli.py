@@ -431,3 +431,21 @@ class TestMachinesDetailCli:
         err = capsys.readouterr().err
         assert "valid choices" in err
         assert "did you mean" not in err
+
+    def test_detail_name_is_case_folded(self, capsys):
+        assert main(["machines", "PAXVILLE"]) == 0
+        upper = capsys.readouterr().out
+        assert main(["machines", "paxville"]) == 0
+        assert upper == capsys.readouterr().out
+
+    def test_machine_option_takes_a_short_fingerprint(self, capsys):
+        from repro.machine.registry import resolve_machine
+
+        short = resolve_machine("paxville-fast-bus").short_fingerprint
+        assert main(["speedup", "CG", "ht_off_4_2", "--machine", short]) == 0
+        by_fp = capsys.readouterr().out
+        assert main(["speedup", "CG", "ht_off_4_2",
+                     "--machine", "paxville-fast-bus"]) == 0
+        assert by_fp == capsys.readouterr().out
+        assert main(["speedup", "CG", "ht_off_4_2"]) == 0
+        assert by_fp != capsys.readouterr().out  # not the default machine

@@ -1,4 +1,9 @@
-"""Tests for the declarative MachineSpec layer and the machine registry."""
+"""Tests for the declarative MachineSpec layer and the machine registry.
+
+The registry rules shared with workloads (path, case-folded and
+fingerprint tokens, did-you-mean, shadowing, duplicate rejection, edit
+invalidation) run from ``tests/registry_contract.py``.
+"""
 
 import dataclasses
 import sys
@@ -8,7 +13,6 @@ import pytest
 from repro.machine.params import paxville_params
 from repro.machine.registry import (
     DEFAULT_MACHINE,
-    UnknownMachineError,
     default_params,
     list_machines,
     machines_dir,
@@ -20,6 +24,11 @@ from repro.machine.spec import (
     SpecError,
     SpecOverride,
     load_spec,
+)
+from tests.registry_contract import (
+    MACHINE,
+    DirectoryContract,
+    ResolutionContract,
 )
 
 
@@ -238,7 +247,9 @@ class TestFingerprint:
         assert other.fingerprint != spec.fingerprint
 
 
-class TestRegistry:
+class TestRegistry(ResolutionContract, DirectoryContract):
+    kind = MACHINE
+
     def test_builtin_paxville_always_resolves(self, monkeypatch):
         monkeypatch.setenv("REPRO_MACHINES_DIR", "/nonexistent-dir")
         spec = resolve_machine(DEFAULT_MACHINE)
@@ -254,17 +265,6 @@ class TestRegistry:
             assert "nextgen-shared-l2" in machines
             assert machines["nextgen-shared-l2"].source is not None
 
-    def test_unknown_name_lists_choices(self):
-        with pytest.raises(UnknownMachineError) as exc_info:
-            resolve_machine("vaporware")
-        message = str(exc_info.value)
-        assert "vaporware" in message and "paxville" in message
-        assert DEFAULT_MACHINE in exc_info.value.valid
-
-    def test_path_token_loads_file(self, tmp_path):
-        path = paxville_spec().save(tmp_path / "pax.json")
-        assert resolve_machine(str(path)).to_params() == paxville_params()
-
     def test_spec_instance_passes_through(self):
         spec = paxville_spec()
         assert resolve_machine(spec) is spec
@@ -276,16 +276,6 @@ class TestRegistry:
         monkeypatch.setenv("REPRO_MACHINES_DIR", str(tmp_path))
         machines = list_machines()
         assert set(machines) == {DEFAULT_MACHINE, "slowmem"}
-
-    def test_duplicate_file_names_rejected(self, tmp_path, monkeypatch):
-        spec = paxville_spec().override(
-            SpecOverride.scaled("memory_latency_ns", 2.0), name="dup"
-        )
-        spec.save(tmp_path / "a.json")
-        spec.save(tmp_path / "b.json")
-        monkeypatch.setenv("REPRO_MACHINES_DIR", str(tmp_path))
-        with pytest.raises(SpecError, match="duplicate machine name"):
-            list_machines()
 
 
 class TestContentionParams:

@@ -11,6 +11,7 @@ from repro.npb.suite import (
     PAPER_BENCHMARKS,
     benchmark_info,
     build_workload,
+    resolve_benchmark,
 )
 
 MODULES = {"CG": cg, "MG": mg, "FT": ft, "EP": ep, "IS": is_, "SP": sp,
@@ -34,6 +35,10 @@ class TestSuiteRegistry:
     def test_unknown_benchmark(self):
         with pytest.raises(KeyError, match="available"):
             build_workload("XX", "B")
+
+    def test_unknown_benchmark_suggests_case_insensitively(self):
+        with pytest.raises(KeyError, match="did you mean 'CG'"):
+            resolve_benchmark("cgg")
 
     def test_unknown_class(self):
         with pytest.raises(ValueError, match="problem class"):

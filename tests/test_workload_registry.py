@@ -1,13 +1,12 @@
 """Tests for the named workload registry (repro.workload.registry).
 
-Mirrors the machine-registry suite: listing contents, case-insensitive
-resolution, did-you-mean suggestions, ``REPRO_WORKLOADS_DIR`` overrides
-(shadowing, duplicate rejection, edit invalidation), inheritance across
-files and built-ins, and the Study integration (content-addressed
-run-cache tokens, stale-fingerprint detection).
+The rules shared with machines (path, case-folded and fingerprint
+tokens, did-you-mean, shadowing, duplicate rejection, edit
+invalidation) run from ``tests/registry_contract.py``.  This module adds
+the workload-specific parts: listing contents, inheritance across files
+and built-ins, and the Study integration (content-addressed run-cache
+tokens, stale-fingerprint detection).
 """
-
-import json
 
 import pytest
 
@@ -21,37 +20,12 @@ from repro.workload.registry import (
     resolve_workload,
 )
 from repro.workload.spec import WorkloadSpecError
-
-
-def _write_spec(path, name, base=None, scale=None, description=""):
-    tree = {"schema": 1, "name": name, "description": description}
-    if base is not None:
-        tree["base"] = base
-        if scale is not None:
-            tree["workload"] = {"scale": scale}
-    else:
-        tree["workload"] = {
-            "problem_class": "B",
-            "phases": [{
-                "name": "only",
-                "openmp": "parallel",
-                "instructions": 1e9,
-                "mem_ops_per_instr": 0.4,
-                "access_mix": [{
-                    "kind": "streaming",
-                    "weight": 1.0,
-                    "footprint_bytes": 2 ** 24,
-                }],
-                "code_footprint_uops": 5000.0,
-                "code_footprint_bytes": 12000.0,
-                "branches_per_instr": 0.1,
-                "branch_misp_intrinsic": 0.01,
-                "branch_sites": 40,
-                "ilp": 1.5,
-            }],
-        }
-    path.write_text(json.dumps(tree))
-    return path
+from tests.registry_contract import (
+    WORKLOAD,
+    DirectoryContract,
+    ResolutionContract,
+    write_workload_spec,
+)
 
 
 class TestBuiltins:
@@ -83,7 +57,9 @@ class TestBuiltins:
             assert specs[name].source is not None
 
 
-class TestResolution:
+class TestResolution(ResolutionContract):
+    kind = WORKLOAD
+
     def test_case_insensitive_nas_names(self):
         assert resolve_workload("cg").name == "CG"
         assert resolve_workload("CG").name == "CG"
@@ -92,60 +68,24 @@ class TestResolution:
         spec = resolve_workload("triad")
         assert resolve_workload(spec) is spec
 
-    def test_path_tokens_load_files(self, tmp_path):
-        path = _write_spec(tmp_path / "custom.json", "custom")
-        assert resolve_workload(path).name == "custom"
-        assert resolve_workload(str(path)).name == "custom"
-
-    def test_unknown_name_suggests(self):
-        with pytest.raises(UnknownWorkloadError) as info:
-            resolve_workload("triadd")
-        assert "did you mean 'triad'" in str(info.value)
-        assert "minigmg" in str(info.value)
-
     def test_build_workload_returns_engine_form(self):
         wl = build_workload("minigmg", "B")
         assert wl.name == "minigmg"
         assert len(wl.phases) >= 2
 
 
-class TestWorkloadsDir:
+class TestWorkloadsDir(DirectoryContract):
+    kind = WORKLOAD
+
     def test_file_specs_join_the_listing(self, tmp_path, monkeypatch):
-        _write_spec(tmp_path / "custom.json", "custom")
+        write_workload_spec(tmp_path / "custom.json", "custom")
         monkeypatch.setenv("REPRO_WORKLOADS_DIR", str(tmp_path))
         specs = list_workloads("B")
         assert "custom" in specs
         assert specs["custom"].source == tmp_path / "custom.json"
 
-    def test_file_shadows_builtin(self, tmp_path, monkeypatch):
-        _write_spec(tmp_path / "triad.json", "triad")
-        monkeypatch.setenv("REPRO_WORKLOADS_DIR", str(tmp_path))
-        spec = resolve_workload("triad")
-        assert spec.source == tmp_path / "triad.json"
-
-    def test_duplicate_names_across_files_rejected(self, tmp_path, monkeypatch):
-        _write_spec(tmp_path / "a.json", "dup")
-        _write_spec(tmp_path / "b.json", "dup")
-        monkeypatch.setenv("REPRO_WORKLOADS_DIR", str(tmp_path))
-        with pytest.raises(WorkloadSpecError, match="duplicate workload name"):
-            list_workloads("B")
-
-    def test_edits_invalidate_the_cache(self, tmp_path, monkeypatch):
-        path = _write_spec(tmp_path / "custom.json", "custom")
-        monkeypatch.setenv("REPRO_WORKLOADS_DIR", str(tmp_path))
-        before = resolve_workload("custom").fingerprint
-        tree = json.loads(path.read_text())
-        tree["workload"]["phases"][0]["instructions"] = 2e9
-        path.write_text(json.dumps(tree))
-        # Force a visible mtime change even on coarse filesystems.
-        import os
-        stat = path.stat()
-        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
-        after = resolve_workload("custom").fingerprint
-        assert after != before
-
     def test_file_can_inherit_from_builtin(self, tmp_path, monkeypatch):
-        _write_spec(
+        write_workload_spec(
             tmp_path / "triad-short.json", "triad-short",
             base="triad", scale=0.25,
         )
@@ -157,8 +97,8 @@ class TestWorkloadsDir:
         )
 
     def test_file_can_inherit_from_file(self, tmp_path, monkeypatch):
-        _write_spec(tmp_path / "root.json", "root")
-        _write_spec(
+        write_workload_spec(tmp_path / "root.json", "root")
+        write_workload_spec(
             tmp_path / "leaf.json", "leaf", base="root", scale=2.0
         )
         monkeypatch.setenv("REPRO_WORKLOADS_DIR", str(tmp_path))
@@ -168,14 +108,16 @@ class TestWorkloadsDir:
         )
 
     def test_inheritance_cycle_detected(self, tmp_path, monkeypatch):
-        _write_spec(tmp_path / "a.json", "a", base="b", scale=1.0)
-        _write_spec(tmp_path / "b.json", "b", base="a", scale=1.0)
+        write_workload_spec(tmp_path / "a.json", "a", base="b", scale=1.0)
+        write_workload_spec(tmp_path / "b.json", "b", base="a", scale=1.0)
         monkeypatch.setenv("REPRO_WORKLOADS_DIR", str(tmp_path))
         with pytest.raises(WorkloadSpecError, match="cycle"):
             list_workloads("B")
 
     def test_unknown_base_lists_registered(self, tmp_path, monkeypatch):
-        _write_spec(tmp_path / "x.json", "x", base="no-such", scale=1.0)
+        write_workload_spec(
+            tmp_path / "x.json", "x", base="no-such", scale=1.0
+        )
         monkeypatch.setenv("REPRO_WORKLOADS_DIR", str(tmp_path))
         with pytest.raises(WorkloadSpecError, match="unknown base workload"):
             list_workloads("B")
@@ -240,7 +182,7 @@ class TestContextIntegration:
     def test_path_workloads_stay_resolvable_by_studies(self, tmp_path):
         from repro.core.context import RunContext
 
-        path = _write_spec(tmp_path / "custom.json", "custom")
+        path = write_workload_spec(tmp_path / "custom.json", "custom")
         ctx = RunContext(workloads=[path])
         (token,) = ctx.workload_names()
         # The token round-trips through a Study even though the file is

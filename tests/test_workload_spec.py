@@ -69,15 +69,14 @@ class TestNasProducers:
 
     @pytest.mark.parametrize("letter", ["S", "W", "A", "B", "C"])
     def test_spec_equals_legacy_all_classes(self, letter):
+        """Every benchmark at this class: the suite's spec-built
+        workload equals the module's direct build."""
+        from repro.npb.suite import build_workload
+
         pc = ProblemClass.from_str(letter)
-        assert benchmark_spec("CG", pc).build() == cg.build(pc)
-
-    def test_build_path_env_switch(self, monkeypatch):
-        from repro.npb.suite import BUILD_PATH_ENV, build_workload
-
-        via_spec = build_workload("MG", "B")
-        monkeypatch.setenv(BUILD_PATH_ENV, "legacy")
-        assert build_workload("MG", "B") == via_spec
+        for bench in ALL_BENCHMARKS:
+            direct = _NAS_MODULES[bench].build(pc)
+            assert build_workload(bench, pc) == direct, bench
 
     def test_metadata_mirrors_benchmark_info(self):
         from repro.npb.suite import benchmark_info
