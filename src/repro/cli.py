@@ -512,6 +512,7 @@ def _serve_command(args) -> int:
     from repro.serve.app import serve_forever
     from repro.serve.runner import JobRunner
     from repro.serve.scheduler import Scheduler
+    from repro.supervise.journal import JournalError
 
     port = args.port
     if port is None:
@@ -543,7 +544,7 @@ def _serve_command(args) -> int:
             previous = jobstore.load_jobs_journal(
                 Path(state_dir) / jobstore.JOBS_JOURNAL_NAME
             )
-        except ValueError as exc:
+        except JournalError as exc:
             raise CLIError(str(exc)) from None
 
     scheduler = Scheduler(

@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro import supervise
 from repro.serve import store as jobstore
 from repro.serve.schema import JobSpec, JobSpecError, job_key, parse_job
-from repro.serve.store import Job, JobJournal, JobStore
+from repro.serve.store import Job, JobStore, open_jobs_journal
 from repro.supervise import CancelledRun, DeadlineExceeded
 
 __all__ = ["DrainReport", "Scheduler", "SchedulerClosed"]
@@ -143,12 +143,9 @@ class Scheduler:
         self._runner = runner
         self._probe = getattr(runner, "probe", None)
         self.job_timeout_s = job_timeout_s
-        journal = None
-        if state_dir is not None:
-            journal = JobJournal(
-                Path(state_dir) / jobstore.JOBS_JOURNAL_NAME
-            )
-        self.store = JobStore(journal=journal)
+        self.store = JobStore(
+            journal=None if state_dir is None else open_jobs_journal(state_dir)
+        )
         self.counters = _Counters()
         self._lock = threading.Lock()
         self._executions: Dict[str, _Execution] = {}
@@ -432,13 +429,7 @@ class Scheduler:
             self._queue.put(_STOP)
         for thread in self._workers:
             thread.join(timeout=5.0)
-        if self.store.journal is not None:
-            self.store.journal.append({
-                "event": "shutdown",
-                "clean": report.clean,
-                "cancelled": report.cancelled,
-            })
-            self.store.journal.close()
+        self.store.shut_down(report.clean, report.cancelled)
         return report
 
     # ------------------------------------------------------------------
@@ -458,10 +449,8 @@ class Scheduler:
                 resubmitted += 1
             except (JobSpecError, SchedulerClosed):
                 continue
-        if resubmitted and self.store.journal is not None:
-            self.store.journal.append({
-                "event": "recovered", "jobs": resubmitted,
-            })
+        if resubmitted:
+            self.store.recovered(resubmitted)
         return resubmitted
 
 

@@ -1,26 +1,36 @@
-"""Job records, the thread-safe job store, and the serve journal.
+"""Job records, the thread-safe job store, and the serve journal format.
 
 The store is the daemon's source of truth for job *state*; results live
 on the executions (and in the content-addressed run cache underneath).
-Every state transition can be journaled to an append-only, fsync'd
-``jobs.wal.jsonl`` in the server's state directory — the same
-write-ahead discipline as ``run-all``'s campaign journal
-(:mod:`repro.supervise.journal`), scoped to jobs: a SIGKILLed server
-leaves a journal from which :func:`load_jobs_journal` reconstructs
-every job's last known state, and the scheduler resubmits the
-non-terminal ones on the next boot.
+Every state transition can be journaled to ``jobs.wal.jsonl`` in the
+server's state directory.  The file is written and read by the shared
+write-ahead journal (:mod:`repro.supervise.journal`, the same writer
+and torn-line rule as ``run-all``'s campaign journal); this module owns
+only the serve records:
+
+* ``server-started`` — header: journal schema and pid;
+* ``submitted`` — a new job with its key, spec and source;
+* ``state`` — a transition, with any error payload or reason;
+* ``recovered`` — how many jobs a boot resubmitted from the last
+  server's journal;
+* ``shutdown`` — the drain finished (clean or not, how many cancelled).
+
+A SIGKILLed server leaves a journal from which
+:func:`load_jobs_journal` reconstructs every job's last known state,
+and the scheduler resubmits the non-terminal ones on the next boot.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
+
+from repro.supervise.journal import Journal, read_journal
 
 __all__ = [
     "JOBS_JOURNAL_NAME",
@@ -31,6 +41,7 @@ __all__ = [
     "JobsJournalState",
     "TERMINAL_STATES",
     "load_jobs_journal",
+    "open_jobs_journal",
 ]
 
 #: Job lifecycle states.
@@ -99,34 +110,17 @@ class Job:
         return out
 
 
-class JobJournal:
-    """Append-only, fsync'd event stream for one server process."""
+#: The serve journal is the shared write-ahead journal.
+JobJournal = Journal
 
-    def __init__(self, path: Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w", encoding="utf-8")
-        self.append({
-            "event": "server-started",
-            "schema": JOBS_JOURNAL_SCHEMA,
-            "pid": os.getpid(),
-        })
 
-    def append(self, record: Dict[str, Any]) -> None:
-        """Write one record durably (serialized across threads)."""
-        line = json.dumps(record, sort_keys=True)
-        with self._lock:
-            if self._fh.closed:  # post-shutdown stragglers: drop, don't die
-                return
-            self._fh.write(line + "\n")
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
+def open_jobs_journal(state_dir: Path) -> Journal:
+    """Start a fresh serve journal in ``state_dir`` (truncating the
+    previous server's, which must be loaded first)."""
+    return Journal(
+        Path(state_dir) / JOBS_JOURNAL_NAME, JOBS_JOURNAL_SCHEMA,
+        event="server-started", pid=os.getpid(),
+    )
 
 
 @dataclass
@@ -150,57 +144,40 @@ class JobsJournalState:
 def load_jobs_journal(path: Path) -> Optional[JobsJournalState]:
     """Reconstruct job states from a serve journal (None if absent).
 
-    Crash-tolerant the same way the campaign journal is: a torn final
-    line is ignored, anything after it is never trusted, and a journal
-    written by a newer schema raises ``ValueError`` rather than being
-    misread.
+    Raises :class:`~repro.supervise.journal.JournalError` on a corrupt
+    journal and its :class:`~repro.supervise.journal.JournalSchemaError`
+    subclass on one written by a newer schema.
     """
     path = Path(path)
     if not path.exists():
         return None
     state = JobsJournalState(jobs={})
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError:
-                break  # torn write: trust nothing at or after it
-            event = record.get("event")
-            if event == "server-started":
-                schema = record.get("schema", 0)
-                if schema > JOBS_JOURNAL_SCHEMA:
-                    raise ValueError(
-                        f"serve journal {path} written by schema "
-                        f"{schema}; this package understands "
-                        f"{JOBS_JOURNAL_SCHEMA}"
-                    )
-            elif event == "submitted":
-                job_id = record["job"]
-                state.jobs[job_id] = Job(
-                    id=job_id, key=record.get("key", ""),
-                    spec=record.get("spec", {}),
-                    state=QUEUED, source=record.get("source", "executed"),
-                )
-            elif event == "state":
-                job = state.jobs.get(record.get("job", ""))
-                if job is not None:
-                    job.state = record.get("state", job.state)
-                    job.source = record.get("source", job.source)
-                    job.error = record.get("error", job.error)
-                    job.reason = record.get("reason", job.reason)
-            elif event == "shutdown":
-                state.clean_shutdown = True
-                state.drain_cancelled = record.get("cancelled", 0)
+    for record in read_journal(path, JOBS_JOURNAL_SCHEMA)[0]:
+        event = record.get("event")
+        if event == "submitted":
+            job_id = record["job"]
+            state.jobs[job_id] = Job(
+                id=job_id, key=record.get("key", ""),
+                spec=record.get("spec", {}),
+                state=QUEUED, source=record.get("source", "executed"),
+            )
+        elif event == "state":
+            job = state.jobs.get(record.get("job", ""))
+            if job is not None:
+                job.state = record.get("state", job.state)
+                job.source = record.get("source", job.source)
+                job.error = record.get("error", job.error)
+                job.reason = record.get("reason", job.reason)
+        elif event == "shutdown":
+            state.clean_shutdown = True
+            state.drain_cancelled = record.get("cancelled", 0)
     return state
 
 
 class JobStore:
     """Thread-safe job registry with optional journaling."""
 
-    def __init__(self, journal: Optional[JobJournal] = None):
+    def __init__(self, journal: Optional[Journal] = None):
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -257,6 +234,19 @@ class JobStore:
             if reason is not None:
                 record["reason"] = reason
             self.journal.append(record)
+
+    def recovered(self, jobs: int) -> None:
+        """Journal that this boot resubmitted ``jobs`` recovered jobs."""
+        if self.journal is not None:
+            self.journal.append({"event": "recovered", "jobs": jobs})
+
+    def shut_down(self, clean: bool, cancelled: int) -> None:
+        """Journal the drain's outcome and close the journal."""
+        if self.journal is not None:
+            self.journal.append({
+                "event": "shutdown", "clean": clean, "cancelled": cancelled,
+            })
+            self.journal.close()
 
     # ------------------------------------------------------------------
     def counts(self) -> Dict[str, int]:

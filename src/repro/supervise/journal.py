@@ -1,11 +1,21 @@
-"""Crash-safe write-ahead journaling for ``run-all`` campaigns.
+"""Crash-safe write-ahead journals: the one writer and the one reader.
 
-The pipeline's manifest is written once, at the end of a campaign — so
-a run SIGKILLed mid-wave used to leave nothing machine-readable behind
-and ``--resume`` refused to touch the directory.  The journal closes
-that gap: an append-only, fsync'd record stream
-(``manifest.wal.jsonl`` next to the manifest) written *as the campaign
-progresses*:
+Both write-ahead logs go through this module: ``run-all``'s campaign
+journal (``manifest.wal.jsonl``, records keyed by ``type``, folded by
+:func:`load_journal`) and ``repro serve``'s job journal
+(``jobs.wal.jsonl``, keyed by ``event``, folded by
+:func:`repro.serve.store.load_jobs_journal`).  :class:`Journal` writes
+a header carrying ``schema``, then one fsync'd JSON line per record.
+:func:`read_journal` reads either file under one rule:
+
+* a record counts once its newline is on disk.  Bytes after the last
+  newline are the write a crash interrupted: dropped, reported ``torn``;
+* a complete line that is not a JSON object is corruption no crash
+  produces: :class:`JournalError`, never a guess past it;
+* the first record is the header; a ``schema`` that is not an int or is
+  newer than the reader knows raises :class:`JournalSchemaError`.
+
+The campaign records, appended as the campaign progresses:
 
 * ``run-started`` — header: journal schema, package version, pid, the
   selected experiment ids;
@@ -18,14 +28,10 @@ progresses*:
 * ``run-finished`` — terminal status (after this the manifest exists
   and the journal is deleted).
 
-Recovery (:func:`load_journal`) is tolerant exactly where a crash can
-tear and loud exactly where guessing would be dangerous: a truncated
-final record (the write the crash interrupted) is ignored; records
-after the first torn line are never trusted; a journal written by a
-*newer* schema raises :class:`JournalSchemaError` instead of being
-misread.  ``load_resume_state`` uses this to resume a killed campaign
-with no completed manifest at all — finished experiments are recovered
-verbatim from their journaled rows + artifacts, in-flight ones re-run.
+``load_resume_state`` uses :func:`load_journal` to resume a killed
+campaign with no completed manifest at all — finished experiments are
+recovered verbatim from their journaled rows + artifacts, in-flight
+ones re-run.
 """
 
 from __future__ import annotations
@@ -33,8 +39,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "JOURNAL_ENV",
@@ -45,6 +52,7 @@ __all__ = [
     "JournalSchemaError",
     "JournalState",
     "load_journal",
+    "read_journal",
 ]
 
 #: Journal file name, next to ``manifest.json`` in the output directory.
@@ -73,16 +81,19 @@ class JournalSchemaError(JournalError):
 class Journal:
     """Append-only writer; every record is flushed and fsync'd.
 
-    One campaign, one writer: pool workers return their outcomes to
-    the pipeline process, which is the only appender — no locking or
-    interleaving to reason about.
+    Opening truncates ``path`` (a new run supersedes what an earlier
+    crash left; recover from it first) and writes the header: the
+    ``header`` fields plus ``schema``.  A lock serialises appends from
+    the daemon's threads; appends after :meth:`close` are dropped.
     """
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, schema: int, **header: Any):
         self.path = Path(path)
-        self._fh: Optional[Any] = None
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._fh: Optional[Any] = open(self.path, "w", encoding="utf-8")
+        self.append({**header, "schema": schema})
 
-    # ------------------------------------------------------------------
     @classmethod
     def open(
         cls,
@@ -90,36 +101,28 @@ class Journal:
         selected: Optional[List[str]] = None,
         jobs: Optional[int] = None,
     ) -> "Journal":
-        """Start a fresh journal for a campaign in ``out_dir``.
-
-        Truncates any previous WAL — a new run supersedes whatever an
-        earlier crash left behind (its useful content was already
-        consumed by ``--resume`` or is being recomputed right now).
-        """
+        """Start a fresh campaign journal in ``out_dir``."""
         import repro
 
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        journal = cls(out_dir / JOURNAL_NAME)
-        journal._fh = open(journal.path, "w", encoding="utf-8")
-        journal.append({
-            "type": "run-started",
-            "schema": JOURNAL_SCHEMA,
-            "package_version": repro.__version__,
-            "pid": os.getpid(),
-            "selected": list(selected or []),
-            "jobs": jobs,
-        })
-        return journal
+        return cls(
+            Path(out_dir) / JOURNAL_NAME, JOURNAL_SCHEMA,
+            type="run-started",
+            package_version=repro.__version__,
+            pid=os.getpid(),
+            selected=list(selected or []),
+            jobs=jobs,
+        )
 
     # ------------------------------------------------------------------
     def append(self, record: Dict[str, Any]) -> None:
         """Durably append one record (no-op after :meth:`close`)."""
-        if self._fh is None:
-            return
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        line = json.dumps(record, sort_keys=True) + "\n"
+        with self._lock:
+            if self._fh is None:
+                return
+            self._fh.write(line)
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
 
     def task_started(self, exp_id: str, wave: int) -> None:
         self.append({"type": "task-started", "id": exp_id, "wave": wave})
@@ -156,9 +159,10 @@ class Journal:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def finalize(self, status: str) -> None:
         """Terminal success path: the manifest is durably written, so
@@ -179,10 +183,52 @@ class Journal:
         self.close()
 
 
+def read_journal(
+    path: Path, schema: int
+) -> Tuple[List[Dict[str, Any]], bool]:
+    """A journal's complete records, and whether its tail was torn.
+
+    Applies the module's torn-line and schema rule; ``schema`` is the
+    newest header schema the caller understands.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise JournalError(f"cannot read journal {path}: {exc}") from None
+    *lines, tail = text.split("\n")
+    records: List[Dict[str, Any]] = []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            raise JournalError(
+                f"journal {path} is corrupt at line {number} "
+                f"(a complete line that is not valid JSON)"
+            ) from None
+        if not isinstance(record, dict):
+            raise JournalError(
+                f"journal {path} line {number} is not a record object"
+            )
+        records.append(record)
+    if records:
+        found = records[0].get("schema")
+        if not isinstance(found, int) or found > schema:
+            raise JournalSchemaError(
+                f"journal {path} has header schema {found!r}; this "
+                f"package reads int schemas <= {schema} and refuses a "
+                f"newer or unknown one rather than misread it — upgrade "
+                f"the package or start afresh"
+            )
+    return records, bool(tail)
+
+
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class JournalState:
-    """Everything recoverable from a (possibly torn) journal."""
+    """Everything recoverable from a (possibly torn) campaign journal."""
 
     path: Path
     header: Optional[Dict[str, Any]] = None
@@ -213,51 +259,14 @@ class JournalState:
 
 
 def load_journal(path: Path) -> JournalState:
-    """Replay a journal into a :class:`JournalState`.
-
-    Tolerates the tears a crash actually produces — a truncated final
-    line, a file with only the header, an empty file — and refuses the
-    cases where guessing is unsafe: unreadable file, non-JSONL content
-    before the final line, or a newer journal schema.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        raise JournalError(f"cannot read journal {path}: {exc}") from None
-
-    state = JournalState(path=path)
-    lines = text.splitlines()
+    """Replay a campaign journal into a :class:`JournalState`."""
+    records, torn = read_journal(path, JOURNAL_SCHEMA)
+    state = JournalState(path=Path(path), torn=torn)
     started: List[str] = []
     done: set = set()
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                # The write the crash interrupted: expected, ignorable.
-                state.torn = True
-                break
-            raise JournalError(
-                f"journal {path} is corrupt at line {index + 1} "
-                f"(not valid JSON, and not the final record)"
-            ) from None
-        if not isinstance(record, dict):
-            raise JournalError(
-                f"journal {path} line {index + 1} is not a record object"
-            )
+    for record in records:
         rtype = record.get("type")
         if rtype == "run-started":
-            schema = record.get("schema")
-            if not isinstance(schema, int) or schema > JOURNAL_SCHEMA:
-                raise JournalSchemaError(
-                    f"journal {path} uses schema {schema!r}, newer than "
-                    f"this package understands (<= {JOURNAL_SCHEMA}); "
-                    f"refusing to resume from it — upgrade the package "
-                    f"or start a fresh run"
-                )
             state.header = record
         elif rtype == "task-started":
             started.append(record["id"])

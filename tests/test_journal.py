@@ -1,9 +1,11 @@
 """Tests for the write-ahead journal: lifecycle, replay, crash tears."""
 
 import json
+import re
 
 import pytest
 
+from repro.serve import store as jobstore
 from repro.supervise.journal import (
     JOURNAL_NAME,
     JOURNAL_SCHEMA,
@@ -11,6 +13,7 @@ from repro.supervise.journal import (
     JournalError,
     JournalSchemaError,
     load_journal,
+    read_journal,
 )
 
 
@@ -158,3 +161,107 @@ class TestLoadJournalEdgeCases:
         ])
         state = load_journal(path)
         assert state.run_finished == "complete"
+
+
+# ----------------------------------------------------------------------
+# One torn-line and schema rule for both journal kinds
+
+#: kind -> (file name, header, one record of unfinished work, loader,
+#: the unfinished work a loaded state reports, what that record adds)
+KINDS = {
+    "campaign": (
+        JOURNAL_NAME,
+        {"type": "run-started", "schema": JOURNAL_SCHEMA},
+        {"type": "task-started", "id": "a", "wave": 0},
+        load_journal,
+        lambda state: state.in_flight,
+        ["a"],
+    ),
+    "serve": (
+        jobstore.JOBS_JOURNAL_NAME,
+        {"event": "server-started", "schema": jobstore.JOBS_JOURNAL_SCHEMA},
+        {"event": "submitted", "job": "j000001", "key": "k", "spec": {}},
+        jobstore.load_jobs_journal,
+        lambda state: [(job.id, job.state) for job in state.resumable],
+        [("j000001", jobstore.QUEUED)],
+    ),
+}
+
+
+def _line(record):
+    return json.dumps(record) + "\n"
+
+
+#: case -> (journal text from (header, record), expected outcome):
+#: an exception type, or (complete records, torn, record survived).
+CASES = {
+    "empty-file": (lambda h, r: "", (0, False, False)),
+    "header-only": (lambda h, r: _line(h), (1, False, False)),
+    "torn-final-line": (
+        lambda h, r: _line(h) + _line(r) + _line(r)[:9], (2, True, True),
+    ),
+    "torn-middle-line": (
+        lambda h, r: _line(h) + _line(r)[:9] + "\n" + _line(r),
+        JournalError,
+    ),
+    "non-object-record": (lambda h, r: _line(h) + "[1]\n", JournalError),
+    "newer-schema": (
+        lambda h, r: _line({**h, "schema": h["schema"] + 1}),
+        JournalSchemaError,
+    ),
+    "non-int-schema": (
+        lambda h, r: _line({**h, "schema": "2"}), JournalSchemaError,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("case", list(CASES))
+def test_corruption_table(tmp_path, kind, case):
+    name, header, record, loader, unfinished, from_record = KINDS[kind]
+    build, expected = CASES[case]
+    path = tmp_path / name
+    path.write_text(build(header, record))
+    if isinstance(expected, type):
+        with pytest.raises(expected, match=re.escape(str(path))):
+            loader(path)
+        return
+    count, torn, survived = expected
+    records, was_torn = read_journal(path, schema=1)
+    assert (len(records), was_torn) == (count, torn)
+    assert unfinished(loader(path)) == (from_record if survived else [])
+
+
+def _write_sample(kind, out_dir):
+    """A real journal of ``kind`` with a few records after the header."""
+    if kind == "campaign":
+        journal = Journal.open(out_dir, selected=["a", "b"], jobs=1)
+        journal.task_started("a", wave=0)
+        journal.task_finished("a", wave=0, meta={"status": "ok"})
+        journal.task_skipped("b", blocked_by=["a"])
+        journal.close()
+        return journal.path
+    store = jobstore.JobStore(journal=jobstore.open_jobs_journal(out_dir))
+    job = store.new_job("k", {"kind": "run"})
+    store.transition(job, jobstore.RUNNING)
+    store.transition(job, jobstore.DONE)
+    store.shut_down(clean=True, cancelled=0)
+    return store.journal.path
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_truncation_reads_exactly_the_complete_lines(tmp_path, kind):
+    """A crash can cut the file at any byte: the reader must return the
+    lines whose newline landed, and report a tear exactly when the cut
+    fell inside a line."""
+    data = _write_sample(kind, tmp_path).read_bytes()
+    cut_path = tmp_path / "cut.wal.jsonl"
+    for offset in range(len(data) + 1):
+        prefix = data[:offset]
+        cut_path.write_bytes(prefix)
+        complete = prefix[:prefix.rfind(b"\n") + 1]
+        records, torn = read_journal(cut_path, schema=1)
+        assert records == [
+            json.loads(line) for line in complete.decode().splitlines()
+        ], offset
+        assert torn == (prefix != complete), offset

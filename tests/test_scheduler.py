@@ -31,6 +31,7 @@ from repro.serve import store as jobstore
 from repro.serve.runner import JobRunner
 from repro.serve.schema import JobSpecError, job_key, parse_job
 from repro.serve.scheduler import Scheduler, SchedulerClosed
+from repro.supervise.journal import JournalSchemaError
 
 
 # ----------------------------------------------------------------------
@@ -486,20 +487,8 @@ def test_clean_shutdown_is_journaled(tmp_path):
 def test_newer_journal_schema_is_refused(tmp_path):
     path = tmp_path / jobstore.JOBS_JOURNAL_NAME
     path.write_text('{"event": "server-started", "schema": 99}\n')
-    with pytest.raises(ValueError, match="schema 99"):
+    with pytest.raises(JournalSchemaError, match="schema 99"):
         jobstore.load_jobs_journal(path)
-
-
-def test_torn_final_journal_line_is_tolerated(tmp_path):
-    path = tmp_path / jobstore.JOBS_JOURNAL_NAME
-    path.write_text(
-        '{"event": "server-started", "schema": 1}\n'
-        '{"event": "submitted", "job": "j000001", "key": "k", "spec": {}}\n'
-        '{"event": "state", "job": "j0'  # torn mid-write
-    )
-    state = jobstore.load_jobs_journal(path)
-    assert state.jobs["j000001"].state == jobstore.QUEUED
-    assert [j.id for j in state.resumable] == ["j000001"]
 
 
 # ----------------------------------------------------------------------

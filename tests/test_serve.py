@@ -371,3 +371,27 @@ def test_cli_serve_env_validation():
     )
     assert proc.returncode == 2
     assert "REPRO_SERVE_PORT" in proc.stderr
+
+
+def test_cli_serve_refuses_corrupt_journal(tmp_path, monkeypatch, capsys):
+    """A corrupt previous journal stops boot with exit 2, naming the
+    file, before the new server truncates it."""
+    from repro.cli import main
+    from repro.serve import app
+
+    path = tmp_path / jobstore.JOBS_JOURNAL_NAME
+    path.write_text(
+        json.dumps({"event": "server-started", "schema": 1}) + "\n"
+        + "not json\n"
+        + json.dumps({"event": "submitted", "job": "j000001", "key": "k",
+                      "spec": {}}) + "\n"
+    )
+
+    def booted(*args, **kwargs):
+        raise AssertionError("the server booted past a corrupt journal")
+
+    monkeypatch.setattr(app, "serve_forever", booted)
+    assert main(["serve", "--state-dir", str(tmp_path), "--port", "0"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "line 2" in err
+    assert "not json" in path.read_text()
