@@ -13,23 +13,22 @@ the per-run cost visible in the committed baselines.
 import pytest
 
 from repro import supervise
+from repro.core.context import RunContext
 from repro.supervise import Budget
 
 pytestmark = pytest.mark.smoke
 
 
 def _run_uncached(study, supervised):
-    supervise.reset()
-    if supervised:
-        # Generous enough never to fire: measures pure checkpoint cost.
-        supervise.set_budget(
-            Budget(run_timeout_s=3600, experiment_timeout_s=3600).arm()
-        )
-        supervise.begin_task("bench")
-    try:
+    def run():
         return study.engine("ht_off_4_2").run_single(study.workload("CG"))
-    finally:
-        supervise.reset()
+
+    if not supervised:
+        return run()
+    # Generous enough never to fire: measures pure checkpoint cost.
+    budget = Budget(run_timeout_s=3600, experiment_timeout_s=3600).arm()
+    with RunContext(budget=budget).runtime(), supervise.task("bench"):
+        return run()
 
 
 def test_bench_engine_run_unsupervised(benchmark, study):

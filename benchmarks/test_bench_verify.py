@@ -11,6 +11,7 @@ the per-run cost visible in the committed baselines.
 import pytest
 
 from repro import verify
+from repro.core import runstate
 
 pytestmark = pytest.mark.smoke
 
@@ -25,8 +26,10 @@ def test_bench_engine_run_unaudited(benchmark, study):
 
 
 def test_bench_engine_run_audited(benchmark, study):
-    result = benchmark(_run_uncached, study, True)
+    with runstate.run():
+        result = benchmark(_run_uncached, study, True)
+        audited = verify.stats()
     # The auditor must observe without perturbing: same result object
     # shape, and a clean audit.
     assert result.runtime_seconds > 0
-    assert verify.stats().violations == 0
+    assert audited.runs > 0 and audited.violations == 0

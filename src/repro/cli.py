@@ -812,15 +812,17 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
             cache_enabled=False,
             verify=True,
         )
-        verify_mod.reset_stats()
-        try:
-            pipeline = run_pipeline(
-                ctx, only=_split_tokens(args.only),
-                skip=_split_tokens(args.skip),
-            )
-        except KeyError as exc:
-            raise CLIError(exc.args[0]) from None
-        s = verify_mod.stats()
+        # The audit counters belong to the outermost run: hold it open
+        # across the pipeline to read them.
+        with ctx.runtime():
+            try:
+                pipeline = run_pipeline(
+                    ctx, only=_split_tokens(args.only),
+                    skip=_split_tokens(args.skip),
+                )
+            except KeyError as exc:
+                raise CLIError(exc.args[0]) from None
+            s = verify_mod.stats()
         print(
             f"audited {len(pipeline.records)} experiment(s): "
             f"{s.runs} engine runs, {s.steps} steps, {s.phases} phases, "

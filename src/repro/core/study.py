@@ -9,9 +9,10 @@ disk tier is enabled — share results instead of re-simulating.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.speedup import SpeedupTable, speedup_table
+from repro.core import runstate
 from repro.core.runcache import RunCache, get_cache, study_fingerprint
 from repro.machine.configurations import (
     MachineConfig,
@@ -31,23 +32,6 @@ from repro.osmodel.scheduler import make_scheduler
 from repro.sim.engine import Engine
 from repro.sim.results import RunResult
 from repro.trace.phase import Workload
-
-
-#: Observation hook invoked with ``(study, key)`` at the top of every
-#: cached-run lookup.  The batched sweep planner (:mod:`repro.sim.batch`)
-#: installs a recorder here to learn which runs a sweep lane needs, then
-#: prefetches the same keys for every other lane in one batched resolve.
-RunKeyHook = Callable[["Study", Tuple[str, ...]], None]
-_run_key_hook: Optional[RunKeyHook] = None
-
-
-def set_run_key_hook(hook: Optional[RunKeyHook]) -> Optional[RunKeyHook]:
-    """Install (or clear) the run-key observation hook; returns the
-    previous hook so callers can restore it."""
-    global _run_key_hook
-    prev = _run_key_hook
-    _run_key_hook = hook
-    return prev
 
 
 class Study:
@@ -93,8 +77,9 @@ class Study:
         return get_cache()
 
     def _cached_run(self, key: Tuple[str, ...], compute) -> RunResult:
-        if _run_key_hook is not None:
-            _run_key_hook(self, key)
+        recorder = runstate.current().recorder
+        if recorder is not None:
+            recorder(self, key)
         cache = self._cache
         value = cache.get(self._fingerprint, key)
         if cache.is_miss(value):

@@ -61,12 +61,7 @@ from repro.core.runcache import get_cache
 from repro.experiments import registry
 from repro import supervise
 from repro.sim import batch as _batch
-from repro.sim.parallel import (
-    FallbackReport,
-    parallel_map,
-    resolve_jobs,
-    set_default_jobs,
-)
+from repro.sim.parallel import FallbackReport, parallel_map, resolve_jobs
 from repro.supervise.journal import JOURNAL_NAME, Journal, load_journal
 from repro.testing import faults
 
@@ -239,12 +234,12 @@ def _execute(
     before = get_cache().stats.snapshot()
     ctx.touched_fingerprints(reset=True)
     _batch.take_stats()  # drop counters left over from a previous entry
-    supervise.begin_task(entry.id)
     start = time.perf_counter()
     try:
-        faults.maybe_fail_experiment(entry.id)
-        result = entry.run(ctx)
-        text = entry.render_text(result)
+        with supervise.task(entry.id):
+            faults.maybe_fail_experiment(entry.id)
+            result = entry.run(ctx)
+            text = entry.render_text(result)
     except supervise.CancelledRun as exc:
         return ExperimentCancellation(
             id=entry.id, wave=wave, reason=str(exc),
@@ -269,8 +264,6 @@ def _execute(
             traceback=_traceback.format_exc(),
             wall_time_s=time.perf_counter() - start,
         )
-    finally:
-        supervise.end_task()
     wall = time.perf_counter() - start
     return ExperimentRecord(
         id=entry.id,
@@ -284,19 +277,16 @@ def _execute(
     )
 
 
-def _worker_init() -> None:
-    """Pool-worker setup: the pipeline is already the fan-out level, so
-    sweeps inside a worker must not spawn nested pools."""
-    set_default_jobs(1)
-
-
 def _pipeline_task(
     task: Tuple[str, RunContext, int]
 ) -> Union[ExperimentRecord, ExperimentFailure, ExperimentCancellation]:
-    """Parallel worker: configure the process, run, measure (picklable)."""
+    """Parallel worker: run and measure one experiment under the task's
+    own context, whose ``jobs=1`` keeps sweeps inside the worker from
+    spawning nested pools (picklable)."""
     entry_id, ctx, wave = task
-    ctx.apply_runtime_config()
-    return _execute(registry.get(entry_id), ctx, wave)
+    ctx.apply_cache_config()
+    with ctx.runtime():
+        return _execute(registry.get(entry_id), ctx, wave)
 
 
 def run_pipeline(
@@ -320,6 +310,9 @@ def run_pipeline(
     ``resume``, experiments already completed in a previous run are
     reused from their artifacts instead of re-executed.
 
+    The context's switches (:meth:`RunContext.runtime`) hold for the
+    whole call and the caller's run state is restored on return.
+
     **Supervision.**  Between experiments the pipeline consults the
     process cancel token and the run budget; once either says stop, the
     remaining experiments are recorded as *cancelled* (in-flight pool
@@ -331,7 +324,20 @@ def run_pipeline(
     SIGKILLed campaign is resumable without a manifest.
     """
     ctx = as_context(ctx)
-    ctx.apply_runtime_config()
+    ctx.apply_cache_config()
+    with ctx.runtime():
+        return _run_waves(ctx, only, skip, progress, resume, journal)
+
+
+def _run_waves(
+    ctx: RunContext,
+    only: Optional[Sequence[str]],
+    skip: Optional[Sequence[str]],
+    progress: Optional[Callable[[str], None]],
+    resume: Optional[ResumeState],
+    journal: Optional[Journal],
+) -> PipelineResult:
+    """:func:`run_pipeline`'s body, inside the context's run state."""
     entries = registry.select(only=only, skip=skip)
     waves = registry.execution_waves(entries)
     selected = {e.id for e in entries}
@@ -442,7 +448,6 @@ def run_pipeline(
 
             parallel_map(
                 _pipeline_task, tasks, jobs=n_jobs,
-                initializer=_worker_init,
                 on_fallback=out.fallbacks.append,
                 on_result=pool_result,
             )

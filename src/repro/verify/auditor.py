@@ -28,9 +28,11 @@ hardware context, and the offending values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence
 
+from repro.core import runstate
+from repro.core.runstate import AuditStats
 from repro.counters.events import Event
 from repro.mem.bus import PREFETCH_WASTE
 from repro.sim.observer import (
@@ -114,50 +116,20 @@ class InvariantViolation(AssertionError):
 
 
 # ----------------------------------------------------------------------
-# Audit accounting (lives here so the auditor increments without a
-# circular import; re-exported by the package).
-
-@dataclass
-class AuditStats:
-    """Counters of audited work (process-wide, monotonically increasing)."""
-
-    runs: int = 0
-    steps: int = 0
-    phases: int = 0
-    checks: int = 0
-    violations: int = 0
-
-    def snapshot(self) -> "AuditStats":
-        return AuditStats(**self.as_dict())
-
-    def since(self, before: "AuditStats") -> "AuditStats":
-        return AuditStats(**{
-            k: v - getattr(before, k) for k, v in self.as_dict().items()
-        })
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "runs": self.runs,
-            "steps": self.steps,
-            "phases": self.phases,
-            "checks": self.checks,
-            "violations": self.violations,
-        }
-
-
-#: Process-wide audit counters (per pool worker when fanned out).
-_STATS = AuditStats()
+# Audit accounting: the counters belong to the enclosing run
+# (:func:`repro.core.runstate.run`); outside any run they are dropped.
 
 
 def stats() -> AuditStats:
-    """The process-wide audit counters."""
-    return _STATS
+    """The enclosing run's audit counters (a throwaway zero set when no
+    run is open)."""
+    counters = runstate.current().audit_stats
+    return AuditStats() if counters is None else counters
 
 
 def reset_stats() -> None:
-    """Zero the process-wide audit counters (test/CLI bookkeeping)."""
-    global _STATS
-    _STATS = AuditStats()
+    """Zero the enclosing run's audit counters."""
+    stats().take()
 
 
 # ----------------------------------------------------------------------
@@ -200,16 +172,17 @@ class InvariantAuditor(SimObserver):
         #: frontier only commits at step boundaries (``on_resolve``).
         self._frontier = 0.0
         self._step_end = 0.0
+        self._stats = stats()
 
     # ------------------------------------------------------------------
     def _fail(
         self, check: str, message: str, **kwargs: Any
     ) -> None:
-        _STATS.violations += 1
+        self._stats.violations += 1
         raise InvariantViolation(check, message, **kwargs)
 
     def _check(self, ok: bool, check: str, message: str, **kwargs) -> None:
-        _STATS.checks += 1
+        self._stats.checks += 1
         if not ok:
             self._fail(check, message, **kwargs)
 
@@ -223,7 +196,7 @@ class InvariantAuditor(SimObserver):
     # run lifecycle
     # ------------------------------------------------------------------
     def on_run_start(self, specs: Sequence) -> None:
-        _STATS.runs += 1
+        self._stats.runs += 1
         self._programs = {
             s.program_id: _ProgramLedger(
                 expected_instructions=s.workload.total_instructions
@@ -249,7 +222,7 @@ class InvariantAuditor(SimObserver):
         if residual is not None:
             checks += 1
             if residual > self.max_residual:
-                _STATS.checks += checks
+                self._stats.checks += checks
                 self._fail(
                     "resolver-residual",
                     "contention fixed point did not converge",
@@ -318,13 +291,13 @@ class InvariantAuditor(SimObserver):
                     and r.bus.latency_multiplier >= 1.0
                 )
             if not ok:
-                _STATS.checks += checks
+                self._stats.checks += checks
                 self._audit_context_slow(step, label, r)
                 raise AssertionError(
                     "auditor fast path flagged a context the detailed "
                     "checks accept"
                 )
-        _STATS.checks += checks
+        self._stats.checks += checks
 
     def _audit_context_slow(self, step: int, label: str, r: Any) -> None:
         """Failure path of :meth:`on_resolve`: re-run the per-context
@@ -484,8 +457,8 @@ class InvariantAuditor(SimObserver):
     # ------------------------------------------------------------------
     def on_step(self, event: StepEvent) -> None:
         # Hot path: fused comparison, diagnostics only on failure.
-        _STATS.steps += 1
-        _STATS.checks += 4
+        self._stats.steps += 1
+        self._stats.checks += 4
         t_start, t_end = event.t_start, event.t_end
         ok = (
             t_start >= self._frontier - _ABS_TOL
@@ -547,9 +520,9 @@ class InvariantAuditor(SimObserver):
 
     # ------------------------------------------------------------------
     def on_phase_complete(self, event: PhaseEvent) -> None:
-        _STATS.phases += 1
+        self._stats.phases += 1
         ledger = self._programs.get(event.program_id)
-        _STATS.checks += 1 if ledger is None else 2
+        self._stats.checks += 1 if ledger is None else 2
         ok = event.wall_seconds >= 0.0 and event.mean_cpi > 0.0
         if ok and ledger is not None:
             ok = abs(ledger.phase_fraction - 1.0) <= 1e-6

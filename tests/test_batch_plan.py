@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 from repro import verify
+from repro.core import runstate
 from repro.core.context import RunContext
 from repro.core.runcache import configure, get_cache
-from repro.core.study import Study, set_run_key_hook
+from repro.core.study import Study
 from repro.machine.registry import default_params
 from repro.sim import batch
 from repro.sim.sensitivity import PERTURBABLE, perturb_params
@@ -30,6 +31,13 @@ def _cache_off():
     configure(reset=True, enabled=False)
     yield
     configure(reset=True, enabled=True)
+
+
+@pytest.fixture(autouse=True)
+def _own_run():
+    """Each test is one run, so its batch counters start from zero."""
+    with runstate.run():
+        yield
 
 
 class TestModeKnob:
@@ -44,12 +52,15 @@ class TestModeKnob:
 
     def test_explicit_mode_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(batch.BATCH_ENV, "off")
-        batch.set_mode("on")
-        assert batch.get_mode() == "on"
+        with batch.batch_mode("on"):
+            assert batch.get_mode() == "on"
 
-    def test_set_mode_rejects_unknown(self):
+    def test_batch_mode_rejects_unknown(self):
         with pytest.raises(ValueError):
-            batch.set_mode("sideways")
+            batch.batch_mode("sideways")
+        with pytest.raises(ValueError):
+            with RunContext(batch="sideways").runtime():
+                pass
 
     def test_batching_allowed_per_mode(self):
         with batch.batch_mode("off"):
@@ -61,10 +72,11 @@ class TestModeKnob:
             assert batch.batching_allowed(2)
 
     def test_context_pushes_mode(self):
-        ctx = RunContext(batch="off")
-        ctx.apply_runtime_config()
-        assert batch.get_mode() == "off"
-        RunContext(batch=None).apply_runtime_config()
+        with RunContext(batch="off").runtime():
+            assert batch.get_mode() == "off"
+            with RunContext(batch=None).runtime():
+                assert batch.get_mode() == "auto"
+            assert batch.get_mode() == "off"
         assert batch.get_mode() == "auto"
 
     def test_auditor_forces_scalar(self):
@@ -85,7 +97,7 @@ class TestRecordRunKeys:
             ("single", "CG", "serial"),
             ("single", "CG", "ht_off_4_2"),
         ]
-        assert set_run_key_hook(None) is None  # hook was restored
+        assert runstate.current().recorder is None  # recorder was removed
 
     def test_preload_is_served_without_compute(self):
         study = Study("B")

@@ -18,9 +18,6 @@ from repro.testing.faults import (
 @pytest.fixture(autouse=True)
 def clean_harness(monkeypatch):
     monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
-    faults.deactivate()
-    yield
-    faults.deactivate()
 
 
 class TestParsePlan:
@@ -85,10 +82,11 @@ class TestActivation:
 
     def test_context_manager_restores(self):
         outer = FaultPlan(cache_read_oserror=True)
-        faults.activate(outer)
-        with faults.injected_faults(FaultPlan()):
-            assert faults.active_plan() == FaultPlan()
-        assert faults.active_plan() is outer
+        with faults.injected_faults(outer):
+            with faults.injected_faults(FaultPlan()):
+                assert faults.active_plan() == FaultPlan()
+            assert faults.active_plan() is outer
+        assert faults.active_plan() is None
 
 
 class TestHooks:

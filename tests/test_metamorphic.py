@@ -39,6 +39,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import verify
+from repro.core import runstate
 from repro.counters.events import Event
 from repro.machine.configurations import get_config
 from repro.machine.params import CacheParams, TLBParams
@@ -228,10 +229,9 @@ class TestHierarchyAndTopologyRelations:
     @given(nlevel_machine_trees())
     @settings(max_examples=5)
     def test_auditor_clean_on_nlevel_machines(self, tree):
-        before = verify.stats().snapshot()
-        with verify.verification(True):
+        with runstate.run(verify=True):
             _run(tree)
-        delta = verify.stats().since(before)
+            delta = verify.stats()
         assert delta.runs == 1 and delta.violations == 0
         assert delta.checks > 0
 
@@ -240,10 +240,9 @@ class TestInvariantsOnRandomMachines:
     @given(machine_trees())
     @settings(max_examples=5)
     def test_auditor_clean(self, tree):
-        before = verify.stats().snapshot()
-        with verify.verification(True):
+        with runstate.run(verify=True):
             _run(tree)  # the auditor raises on any violation
-        delta = verify.stats().since(before)
+            delta = verify.stats()
         assert delta.runs == 1 and delta.violations == 0
         assert delta.checks > 0
 

@@ -4,14 +4,9 @@ import os
 
 import pytest
 
+from repro.core.context import RunContext
 from repro.sim import parallel
-from repro.sim.parallel import (
-    get_default_jobs,
-    parallel_map,
-    resolve_jobs,
-    set_default_jobs,
-    take_fallback_report,
-)
+from repro.sim.parallel import get_default_jobs, parallel_map, resolve_jobs
 from repro.testing import faults
 from repro.testing.faults import FaultPlan
 
@@ -28,14 +23,10 @@ def _os_boom(x):
     raise OSError(f"task io failure {x}")
 
 
-@pytest.fixture(autouse=True)
-def reset_default_jobs():
-    set_default_jobs(None)
-    take_fallback_report()
-    faults.deactivate()
-    yield
-    set_default_jobs(None)
-    faults.deactivate()
+@pytest.fixture
+def reports():
+    """A list to pass as ``on_fallback``: the map's degradation events."""
+    return []
 
 
 @pytest.fixture
@@ -56,8 +47,9 @@ class TestJobResolution:
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(parallel.JOBS_ENV, "4")
-        set_default_jobs(2)
-        assert get_default_jobs() == 2
+        with RunContext(jobs=2).runtime():
+            assert get_default_jobs() == 2
+        assert get_default_jobs() == 4
 
     def test_garbage_env_ignored(self, monkeypatch):
         monkeypatch.setenv(parallel.JOBS_ENV, "many")
@@ -67,8 +59,9 @@ class TestJobResolution:
         assert resolve_jobs(10_000) <= (os.cpu_count() or 1)
 
     def test_invalid_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_jobs(0)
+        with RunContext(jobs=0).runtime():
+            with pytest.raises(ValueError):
+                resolve_jobs(None)
         with pytest.raises(ValueError):
             resolve_jobs(0)
 
@@ -85,11 +78,15 @@ class TestParallelMap:
         assert parallel_map(_square, [], jobs=4) == []
         assert parallel_map(_square, [5], jobs=4) == [25]
 
-    def test_unpicklable_callable_falls_back_to_serial(self, pool_host):
+    def test_unpicklable_callable_falls_back_to_serial(
+        self, pool_host, reports
+    ):
         # Lambdas cannot cross a process boundary; the map must still
         # return correct results via the serial fallback.
-        assert parallel_map(lambda x: x + 1, [1, 2, 3], jobs=2) == [2, 3, 4]
-        report = take_fallback_report()
+        assert parallel_map(
+            lambda x: x + 1, [1, 2, 3], jobs=2, on_fallback=reports.append
+        ) == [2, 3, 4]
+        [report] = reports
         assert report.reason == "unpicklable-callable"
         assert report.completed == 0 and report.retried == 3
 
@@ -99,24 +96,25 @@ class TestParallelMap:
         with pytest.raises(ValueError, match="task"):
             parallel_map(_boom, [1, 2], jobs=2)
 
-    def test_task_oserror_propagates_not_swallowed(self, pool_host):
+    def test_task_oserror_propagates_not_swallowed(self, pool_host, reports):
         """Regression: an OSError raised *by the task* used to be
         mistaken for pool infrastructure failure, silently re-running
         the whole list serially (and raising only on the second pass)."""
         with pytest.raises(OSError, match="task io failure"):
-            parallel_map(_os_boom, [1, 2], jobs=2)
+            parallel_map(_os_boom, [1, 2], jobs=2, on_fallback=reports.append)
         # And it was a task failure, not a pool degradation.
-        assert take_fallback_report() is None
+        assert reports == []
 
 
 class TestBrokenPoolRetry:
-    def test_worker_death_retries_only_incomplete(self, pool_host):
+    def test_worker_death_retries_only_incomplete(self, pool_host, reports):
         plan = FaultPlan(worker_death_index=1)
         with faults.injected_faults(plan):
-            results = parallel_map(_square, [0, 1, 2, 3], jobs=2)
+            results = parallel_map(
+                _square, [0, 1, 2, 3], jobs=2, on_fallback=reports.append
+            )
         assert results == [0, 1, 4, 9]
-        report = take_fallback_report()
-        assert report is not None
+        [report] = reports
         assert report.reason == "broken-pool"
         # Every task is accounted for exactly once: results the pool
         # delivered are kept, the rest re-ran serially.
@@ -133,14 +131,11 @@ class TestBrokenPoolRetry:
         assert seen[0].reason == "broken-pool"
         assert seen[0].as_dict()["retried"] == seen[0].retried
 
-    def test_clean_run_leaves_no_report(self, pool_host):
-        assert parallel_map(_square, [1, 2, 3], jobs=2) == [1, 4, 9]
-        assert take_fallback_report() is None
-
-    def test_take_report_pops(self, pool_host):
-        parallel_map(lambda x: x, [1, 2], jobs=2)
-        assert take_fallback_report() is not None
-        assert take_fallback_report() is None
+    def test_clean_run_leaves_no_report(self, pool_host, reports):
+        assert parallel_map(
+            _square, [1, 2, 3], jobs=2, on_fallback=reports.append
+        ) == [1, 4, 9]
+        assert reports == []
 
 
 def _slow(x):
@@ -149,42 +144,41 @@ def _slow(x):
 
 
 class TestWatchdog:
-    def test_hung_worker_reaped_and_rescheduled(self, pool_host):
+    def test_hung_worker_reaped_and_rescheduled(self, pool_host, reports):
         plan = FaultPlan(hang_task_index=1, hang_seconds=30.0)
         with faults.injected_faults(plan):
             results = parallel_map(
-                _square, [0, 1, 2, 3], jobs=2, task_timeout_s=1.0
+                _square, [0, 1, 2, 3], jobs=2, task_timeout_s=1.0,
+                on_fallback=reports.append,
             )
         assert results == [0, 1, 4, 9]
-        report = take_fallback_report()
-        assert report is not None
+        [report] = reports
         assert report.reason == "hung-worker"
         assert "killed workers" in report.detail
         assert report.completed + report.retried == 4
         assert report.retried >= 1
 
-    def test_healthy_pool_never_trips_watchdog(self, pool_host):
+    def test_healthy_pool_never_trips_watchdog(self, pool_host, reports):
         # The heartbeat window restarts at every completion: many tasks
         # under a short-but-sufficient watchdog run clean.
         results = parallel_map(
-            _square, list(range(8)), jobs=2, task_timeout_s=30.0
+            _square, list(range(8)), jobs=2, task_timeout_s=30.0,
+            on_fallback=reports.append,
         )
         assert results == [x * x for x in range(8)]
-        assert take_fallback_report() is None
+        assert reports == []
 
-    def test_watchdog_defaults_from_armed_budget(self, pool_host):
-        from repro import supervise
+    def test_watchdog_defaults_from_armed_budget(self, pool_host, reports):
         from repro.supervise import Budget
 
         plan = FaultPlan(hang_task_index=0, hang_seconds=30.0)
-        supervise.set_budget(Budget(experiment_timeout_s=1.0).arm())
-        try:
-            with faults.injected_faults(plan):
-                results = parallel_map(_square, [1, 2, 3], jobs=2)
-        finally:
-            supervise.reset()
+        budgeted = RunContext(budget=Budget(experiment_timeout_s=1.0).arm())
+        with budgeted.runtime(), faults.injected_faults(plan):
+            results = parallel_map(
+                _square, [1, 2, 3], jobs=2, on_fallback=reports.append
+            )
         assert results == [1, 4, 9]
-        assert take_fallback_report().reason == "hung-worker"
+        assert [r.reason for r in reports] == ["hung-worker"]
 
     def test_no_budget_means_no_watchdog(self, pool_host):
         # Unbudgeted runs must not invent a timeout; a clean pool just
@@ -196,16 +190,18 @@ class TestWatchdog:
 
 
 class TestCircuitBreaker:
-    def test_open_breaker_short_circuits_to_serial(self, pool_host):
+    def test_open_breaker_short_circuits_to_serial(self, pool_host, reports):
         from repro.supervise import backoff
 
         brk = backoff.breaker("process-pool")
         for _ in range(brk.threshold):
             brk.record_failure("drill")
         assert brk.open
-        results = parallel_map(_square, [1, 2, 3], jobs=2)
+        results = parallel_map(
+            _square, [1, 2, 3], jobs=2, on_fallback=reports.append
+        )
         assert results == [1, 4, 9]
-        report = take_fallback_report()
+        [report] = reports
         assert report.reason == "circuit-open"
         assert report.retried == 3 and report.completed == 0
 

@@ -185,12 +185,6 @@ class TestDiskIntegrity:
 
 
 class TestInjectedCacheFaults:
-    @pytest.fixture(autouse=True)
-    def no_plan(self):
-        faults.deactivate()
-        yield
-        faults.deactivate()
-
     def test_read_oserror_degrades_to_miss(self, tmp_path):
         writer = RunCache(disk_dir=tmp_path)
         writer.put("fp", ("k",), 42)

@@ -16,6 +16,7 @@ import pytest
 
 from repro import verify
 from repro.cli import main
+from repro.core import runstate
 from repro.core.context import RunContext
 from repro.counters.events import Event
 from repro.machine.configurations import get_config
@@ -29,17 +30,24 @@ def _run(config="ht_off_2_1", bench="CG"):
     return Engine(get_config(config)).run_single(build_workload(bench, "B"))
 
 
+@pytest.fixture(autouse=True)
+def _own_run():
+    """Each test is one run, so it owns its audit counters."""
+    with runstate.run():
+        yield
+
+
 class TestEnablement:
     def test_pytest_autodetect_is_on_by_default(self):
-        # conftest deactivates the explicit switch and clears the env,
-        # so what remains is the PYTEST_CURRENT_TEST autodetect.
+        # No scope sets the switch and conftest clears the env, so what
+        # remains is the PYTEST_CURRENT_TEST autodetect.
         assert verify.enabled()
 
     def test_explicit_beats_autodetect(self):
-        verify.activate(False)
-        assert not verify.enabled()
-        verify.activate(True)
-        assert verify.enabled()
+        with verify.verification(False):
+            assert not verify.enabled()
+            with verify.verification(True):
+                assert verify.enabled()
 
     def test_env_beats_autodetect(self, monkeypatch):
         monkeypatch.setenv(verify.VERIFY_ENV, "0")
@@ -49,8 +57,8 @@ class TestEnablement:
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(verify.VERIFY_ENV, "0")
-        verify.activate(True)
-        assert verify.enabled()
+        with verify.verification(True):
+            assert verify.enabled()
 
     def test_context_manager_restores(self):
         with verify.verification(False):
@@ -58,14 +66,15 @@ class TestEnablement:
         assert verify.enabled()
 
     def test_run_context_wires_the_switch(self):
-        RunContext(verify=False).apply_runtime_config()
-        assert not verify.enabled()
-        RunContext(verify=True).apply_runtime_config()
-        assert verify.enabled()
+        with RunContext(verify=False).runtime():
+            assert not verify.enabled()
+            with RunContext(verify=True).runtime():
+                assert verify.enabled()
+            assert not verify.enabled()
 
     def test_run_context_default_leaves_autodetect(self):
-        RunContext().apply_runtime_config()
-        assert verify.enabled()
+        with verify.verification(False), RunContext().runtime():
+            assert verify.enabled()
 
     def test_spawn_propagates_verify_flag(self):
         child = RunContext(verify=False).spawn(jobs=1)

@@ -8,6 +8,7 @@ by the experiment drivers, and cache-keyed through the registry tokens.
 import pytest
 
 from repro import verify
+from repro.core import runstate
 from repro.core.context import RunContext
 from repro.core.study import Study
 from repro.npb.common import ProblemClass
@@ -88,10 +89,9 @@ class TestAuditedRuns:
     @pytest.mark.parametrize("name", ["minigmg", "triad", "strided-load"])
     def test_families_pass_the_invariant_auditor(self, name):
         st = Study("B")
-        before = verify.stats().snapshot()
-        with verify.verification(True):
+        with runstate.run(verify=True):
             result = st.engine("ht_off_4_2").run_single(st.workload(name))
-        delta = verify.stats().since(before)
+            delta = verify.stats()
         assert result.runtime_seconds > 0
         assert delta.runs == 1 and delta.violations == 0
         assert delta.checks > 0
