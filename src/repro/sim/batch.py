@@ -1,13 +1,13 @@
-"""Machine-axis batching: whole sweeps as one tensor computation.
+"""Sweep batching: whole sweeps as one tensor computation.
 
 A parameter sweep runs the *same* workloads on n near-identical machines
 (`SpecOverride` grids, class scaling, sensitivity perturbations).  The
-scalar path resolves each machine's contention fixed point serially;
-this module makes the machine axis a NumPy array dimension instead:
+scalar path resolves each machine's contention fixed point serially,
+one step at a time; this module batches two axes instead:
 
-* :class:`BatchedFixedPointResolver` performs **one** damped fixed-point
-  resolve over a ``[n_machines, n_classes]`` batch — hierarchy rates,
-  branch pollution and SMT terms come from the scalar
+* **The machine axis.**  :class:`BatchedFixedPointResolver` performs one
+  damped fixed-point resolve over a ``[n_rows, n_classes]`` batch —
+  hierarchy rates, branch pollution and SMT terms come from the scalar
   :meth:`~repro.sim.resolver.FixedPointResolver.prework` (restricted to
   one representative per contention-equivalence class), while the bus
   queueing/prefetch inner loop and the outer CPI damping run as
@@ -15,20 +15,32 @@ this module makes the machine axis a NumPy array dimension instead:
   (:func:`~repro.machine.packing.pack_machines`,
   :func:`~repro.mem.bus.resolve_lite_lanes`).
 
-* :func:`run_batched_single` drives the engine step loop for all lanes
-  in lockstep (single-program runs advance exactly one phase per step)
-  and accumulates PMU counters as one ``[n_machines, n_contexts,
-  n_events]`` array, unpacking per-machine :class:`RunResult` objects
-  that are **byte-identical** to the scalar path: every float is
-  produced by the same IEEE-754 operation sequence the scalar engine
-  executes (explicit left folds, identical damping/convergence masking,
-  identical counter insertion order).
+* **The step axis.**  A single-program, non-oversubscribed run advances
+  exactly one phase per step, and a step's solve reads only the
+  machine, the config, the placement and that phase — never an earlier
+  step's state.  Every (lane, run key, phase) *row* of a sweep is
+  therefore independent, and rows with equal step structure share one
+  fixed point.  Each row carries its own convergence mask, so each row
+  is bit-identical to its scalar step.
 
+The batched engine runs in three stages: *plan* (:func:`_plan`: gates,
+placements, team checks, each phase's step structure), *solve*
+(:func:`_solve`: one :meth:`~BatchedFixedPointResolver.resolve_classes`
+call per distinct step structure) and *replay* (:func:`_replay`: per
+phase wall time and PMU counters as one ``[n_machines, n_contexts,
+n_events]`` array).  Unpacked :class:`RunResult` objects are
+**byte-identical** to the scalar path: every float is produced by the
+same IEEE-754 operation sequence the scalar engine executes (explicit
+left folds, identical damping/convergence masking, identical counter
+insertion order).
+
+* :func:`run_batched_single` is the one-run-key case.
 * :func:`prefetch_study_runs` is the ``BatchPlan`` layer: it collects a
   sweep's lane studies, deduplicates identical machine fingerprints,
-  skips runs already in the run cache, executes the batched engine and
-  preloads each lane's results so subsequent scalar-API calls
-  (``Study.run`` et al.) hit them transparently.
+  skips runs already in the run cache, plans every remaining key,
+  solves them all at once, replays each key and preloads each lane's
+  results so subsequent scalar-API calls (``Study.run`` et al.) hit
+  them transparently.
 
 Scalar fallback is always safe and automatic: runs with observers, the
 invariant auditor (``repro.verify``), an active fault plan, multiprogram
@@ -61,19 +73,17 @@ from repro.core import runstate
 from repro.core.runstate import BatchStats
 from repro.counters.collector import Collector, CounterSet
 from repro.counters.timeline import Timeline, TimelineSample
-from repro.cpu.pipeline import _COVERED_EXPOSURE, CPIBreakdown
-from repro.machine.packing import PackedMachines, pack_machines
+from repro.cpu.pipeline import _COVERED_EXPOSURE
+from repro.machine.packing import pack_machines
 from repro.mem.bus import (
     PREFETCH_WASTE,
-    BusOutcome,
     LaneLiteStructure,
     compute_snoop_lanes,
     resolve_lite_lanes,
 )
-from repro.mem.hierarchy import LevelRates
 from repro.openmp.loops import partition_imbalance
 from repro.openmp.sync import barrier_cycles, fork_join_cycles
-from repro.osmodel.process import ProgramSpec
+from repro.osmodel.process import Placement, ProgramSpec, ThreadPlacement
 from repro.sim.advance import EXTRA_LEVEL_EVENTS, STEP_EVENTS, Progress
 from repro.sim.engine import Engine
 from repro.sim.resolver import (
@@ -81,7 +91,6 @@ from repro.sim.resolver import (
     _FIXED_POINT_ITERS,
     ActiveContext,
     FixedPointResolver,
-    ResolvedContext,
 )
 from repro.sim.results import PhaseRecord, ProgramResult, RunResult
 from repro.testing import faults
@@ -316,83 +325,79 @@ def _classify(active: Sequence[ActiveContext]) -> _StepStructure:
 # The batched resolver
 # ----------------------------------------------------------------------
 
+#: Hierarchy-rate fields the counter replay reads, in the order of
+#: :data:`~repro.sim.advance.STEP_EVENTS` slots 3..12, then the
+#: last-level miss stream that feeds the bus counters.
+_RATE_FIELDS = (
+    "tc_accesses_per_instr",
+    "tc_misses_per_instr",
+    "l1_accesses_per_instr",
+    "l1_misses_per_instr",
+    "l2_accesses_per_instr",
+    "l2_misses_per_instr",
+    "itlb_accesses_per_instr",
+    "itlb_misses_per_instr",
+    "dtlb_accesses_per_instr",
+    "dtlb_misses_per_instr",
+    "llc_misses_per_instr",
+)
+
 
 @dataclass
 class StepSolution:
-    """Converged contention state for one lockstep step, all lanes.
+    """Converged contention state of a stack of step rows.
 
-    Per-``[lane][class]`` views of what the scalar resolver would return
-    per context; the driver fans values back out through
+    A row is one lane's step; rows may come from different lanes, run
+    keys and phases as long as they share one step structure.  Arrays
+    are ``[row, class]`` views of what the scalar resolver returns per
+    context; the replay fans values back out through
     ``struct.class_of``.
     """
 
-    struct: _StepStructure
-    #: Effective CPI / non-execution cycles per uop (python floats, so
-    #: downstream wall-time arithmetic matches the scalar path exactly).
-    cpi_eff: List[List[float]]
-    stall_eff: List[List[float]]
-    #: ``[L, K]`` converged bus state (frozen at each lane's own
-    #: convergence iteration, like the scalar loop's break).
-    mult: np.ndarray
-    cov: np.ndarray
+    #: Effective CPI / non-execution cycles per uop.
+    cpi_eff: np.ndarray
+    stall_eff: np.ndarray
+    #: Converged bus state (frozen at each row's own convergence
+    #: iteration, like the scalar loop's break).
     util: np.ndarray
-    demand: np.ndarray
+    cov: np.ndarray
     misp: np.ndarray
     coh: np.ndarray
+    #: ``[row]`` final fixed-point residual (``last_residual``).
     residual: np.ndarray
-    rates: List[List[LevelRates]]
-    breakdowns: List[List[CPIBreakdown]]
+    #: ``[row, class, field]`` hierarchy rates in :data:`_RATE_FIELDS`
+    #: order, then one (accesses, misses) pair per extra level.
+    rates: np.ndarray
 
 
 class BatchedFixedPointResolver:
-    """One damped fixed point over a ``[n_machines, n_classes]`` batch.
+    """One damped fixed point over a ``[n_rows, n_classes]`` batch.
 
-    Wraps one scalar :class:`FixedPointResolver` per lane (for prework
+    Wraps one scalar :class:`FixedPointResolver` per row (for prework
     and the final breakdown materialization) around the vectorized bus
-    kernel; every lane's numbers are bit-identical to what its scalar
-    resolver would have produced alone.
+    kernel; every row's numbers are bit-identical to what its scalar
+    resolver would have produced alone.  A resolver may appear in
+    several rows (one per phase of its run).
     """
 
-    def __init__(
-        self,
-        resolvers: Sequence[FixedPointResolver],
-        packed: Optional[PackedMachines] = None,
-    ):
+    def __init__(self, resolvers: Sequence[FixedPointResolver]):
         self.resolvers = list(resolvers)
         if not self.resolvers:
-            raise ValueError("need at least one lane resolver")
-        self.packed = (
-            packed
-            if packed is not None
-            else pack_machines([r.params for r in self.resolvers])
-        )
-        if self.packed.n_lanes != len(self.resolvers):
-            raise ValueError("packed lane count does not match resolvers")
-
-    @classmethod
-    def from_engines(
-        cls, engines: Sequence[Engine]
-    ) -> "BatchedFixedPointResolver":
-        resolvers = []
-        for e in engines:
-            if not isinstance(e.resolver, FixedPointResolver):
-                raise TypeError(
-                    "batched execution requires FixedPointResolver lanes"
-                )
-            resolvers.append(e.resolver)
-        return cls(resolvers, pack_machines([e.params for e in engines]))
+            raise ValueError("need at least one row resolver")
+        self.packed = pack_machines([r.params for r in self.resolvers])
 
     # ------------------------------------------------------------------
     def resolve_classes(
-        self, actives: Sequence[Sequence[ActiveContext]]
+        self,
+        actives: Sequence[Sequence[ActiveContext]],
+        struct: _StepStructure,
     ) -> StepSolution:
-        """Resolve one lockstep step for every lane at once.
+        """Resolve one step per row, all rows at once.
 
-        ``actives[l]`` must be structurally identical across lanes (same
-        labels, placements and phase structure); only phase *values* and
-        machine parameters may differ.
+        Every ``actives[r]`` must have the step structure ``struct``;
+        only phase *values* and machine parameters may differ between
+        rows.
         """
-        struct = _classify(actives[0])
         packed = self.packed
         L = len(actives)
         K = struct.lite.n_classes
@@ -400,34 +405,52 @@ class BatchedFixedPointResolver:
         rep_labels = [struct.labels[i] for i in reps]
         needed = set(struct.needed_labels)
 
-        preworks = [
-            self.resolvers[l].prework(actives[l], labels=needed)
-            for l in range(L)
-        ]
-
-        def pack(get) -> np.ndarray:
-            return np.array(
-                [[get(preworks[l], lab) for lab in rep_labels]
-                 for l in range(L)],
-                dtype=np.float64,
-            )
-
-        cpi_est = pack(lambda pw, lab: pw.cpi_est[lab])
-        exec_term = pack(lambda pw, lab: pw.fast[lab][0])
-        l2mpi = pack(lambda pw, lab: pw.fast[lab][1])
-        mlp = pack(lambda pw, lab: pw.fast[lab][2])
-        coh = pack(lambda pw, lab: pw.coh_mpi[lab])
-        misp = pack(lambda pw, lab: pw.misp[lab])
-        s_l2hit = pack(lambda pw, lab: pw.breakdowns[lab].stall_l2_hit)
-        s_tc = pack(lambda pw, lab: pw.breakdowns[lab].stall_trace_cache)
-        s_itlb = pack(lambda pw, lab: pw.breakdowns[lab].stall_itlb)
-        s_dtlb = pack(lambda pw, lab: pw.breakdowns[lab].stall_dtlb)
-        s_br = pack(lambda pw, lab: pw.breakdowns[lab].stall_branch)
-        s_mo = pack(lambda pw, lab: pw.breakdowns[lab].stall_moclear)
-        s_coh = pack(lambda pw, lab: pw.breakdowns[lab].stall_coherence)
-        mig = np.array(
-            [pw.mig_misses_per_sec for pw in preworks], dtype=np.float64
+        # Each row's Prework is reduced to the fixed-point inputs and the
+        # breakdown arguments as soon as it is built, so no Prework
+        # outlives its row.
+        inputs: List[List[Tuple[float, ...]]] = []
+        bd_args: List[List[Dict[str, object]]] = []
+        mig_rows: List[float] = []
+        for l in range(L):
+            pw = self.resolvers[l].prework(actives[l], labels=needed)
+            in_row = []
+            arg_row = []
+            for lab in rep_labels:
+                bd = pw.breakdowns[lab]
+                in_row.append((
+                    pw.cpi_est[lab],
+                    *pw.fast[lab],
+                    pw.coh_mpi[lab],
+                    pw.misp[lab],
+                    bd.stall_l2_hit,
+                    bd.stall_trace_cache,
+                    bd.stall_itlb,
+                    bd.stall_dtlb,
+                    bd.stall_branch,
+                    bd.stall_moclear,
+                    bd.stall_coherence,
+                ))
+                arg_row.append(dict(
+                    rates=pw.rates[lab],
+                    mispredict_rate=pw.misp[lab],
+                    sibling_utilization=pw.sibling_util[lab],
+                    self_utilization=pw.utils[lab],
+                    core_sharers=pw.sharers_of[lab],
+                    smt_capacity=pw.pair_capacity[lab],
+                    coherence_stall_per_instr=pw.coh_stall[lab],
+                    sibling_miss_ratio=pw.sibling_missiness[lab],
+                    memory_latency_scale=pw.mem_scale[lab],
+                ))
+            inputs.append(in_row)
+            bd_args.append(arg_row)
+            mig_rows.append(pw.mig_misses_per_sec)
+        (
+            cpi_est, exec_term, l2mpi, mlp, coh, misp,
+            s_l2hit, s_tc, s_itlb, s_dtlb, s_br, s_mo, s_coh,
+        ) = np.ascontiguousarray(
+            np.array(inputs, dtype=np.float64).transpose(2, 0, 1)
         )
+        mig = np.array(mig_rows, dtype=np.float64)
 
         rfrac = np.array(
             [[0.5 + 0.5 * actives[l][i].phase.load_fraction for i in reps]
@@ -445,13 +468,12 @@ class BatchedFixedPointResolver:
         mem_lat_cycles = packed.memory_latency_cycles[:, None]
         llc_lat = packed.llc_latency_cycles[:, None]
 
-        # --- the outer damped fixed point, all lanes at once ----------
-        # Lanes converge at different iterations; each lane's state is
+        # --- the outer damped fixed point, all rows at once -----------
+        # Rows converge at different iterations; each row's state is
         # committed through its mask and frozen thereafter, so its final
         # values come from exactly the iteration the scalar loop would
         # have broken out of.
         cov = np.zeros((L, K))
-        frozen_demand = np.zeros((L, K))
         frozen_mult = np.ones((L, K))
         frozen_util = np.zeros((L, K))
         residual = np.zeros(L)
@@ -492,7 +514,6 @@ class BatchedFixedPointResolver:
             new_cpi = _DAMPING * cpi_est + (1 - _DAMPING) * target
             delta = np.max(np.abs(new_cpi - cpi_est) / cpi_est, axis=1)
 
-            frozen_demand = np.where(outer[:, None], demand, frozen_demand)
             frozen_mult = np.where(outer[:, None], mult, frozen_mult)
             frozen_util = np.where(outer[:, None], util, frozen_util)
             cpi_est = np.where(outer[:, None], new_cpi, cpi_est)
@@ -501,104 +522,51 @@ class BatchedFixedPointResolver:
             if not outer.any():
                 break
 
-        # --- materialize converged breakdowns per lane/class ----------
-        rates_out: List[List[LevelRates]] = []
-        breakdowns: List[List[CPIBreakdown]] = []
-        cpi_eff: List[List[float]] = []
-        stall_eff: List[List[float]] = []
+        # --- materialize converged breakdowns per row/class -----------
+        cpi_rows = cpi_est.tolist()
+        mult_rows = frozen_mult.tolist()
+        cov_rows = cov.tolist()
+        cpi_eff = np.empty((L, K))
+        stall_eff = np.empty((L, K))
+        rate_rows: List[List[List[float]]] = []
         for l in range(L):
             res = self.resolvers[l]
-            pw = preworks[l]
             ht = res.config.ht
-            row_r: List[LevelRates] = []
-            row_b: List[CPIBreakdown] = []
-            row_c: List[float] = []
-            row_s: List[float] = []
+            rate_row = []
             for k in range(K):
-                lab = rep_labels[k]
-                a = actives[l][reps[k]]
+                args = bd_args[l][k]
                 bd = res.pipeline.breakdown(
-                    a.phase,
-                    pw.rates[lab],
-                    pw.misp[lab],
-                    bus_latency_multiplier=float(frozen_mult[l, k]),
-                    prefetch_coverage=float(cov[l, k]),
+                    actives[l][reps[k]].phase,
+                    bus_latency_multiplier=mult_rows[l][k],
+                    prefetch_coverage=cov_rows[l][k],
                     ht_enabled=ht,
-                    sibling_utilization=pw.sibling_util[lab],
-                    self_utilization=pw.utils[lab],
-                    core_sharers=pw.sharers_of[lab],
-                    smt_capacity=pw.pair_capacity[lab],
-                    coherence_stall_per_instr=pw.coh_stall[lab],
-                    sibling_miss_ratio=pw.sibling_missiness[lab],
+                    **args,
                 )
-                ce = max(float(cpi_est[l, k]), bd.cpi)
-                row_r.append(pw.rates[lab])
-                row_b.append(bd)
-                row_c.append(ce)
-                row_s.append(max(ce - bd.cpi_exec * bd.smt_slowdown, 0.0))
-            rates_out.append(row_r)
-            breakdowns.append(row_b)
-            cpi_eff.append(row_c)
-            stall_eff.append(row_s)
-            res.last_residual = float(residual[l])
+                ce = max(cpi_rows[l][k], bd.cpi)
+                cpi_eff[l, k] = ce
+                stall_eff[l, k] = max(ce - bd.cpi_exec * bd.smt_slowdown, 0.0)
+                rates = args["rates"]
+                values = [getattr(rates, name) for name in _RATE_FIELDS]
+                for lvl in rates.extra_levels:
+                    values.append(lvl.accesses_per_instr)
+                    values.append(lvl.misses_per_instr)
+                rate_row.append(values)
+            rate_rows.append(rate_row)
 
         return StepSolution(
-            struct=struct,
             cpi_eff=cpi_eff,
             stall_eff=stall_eff,
-            mult=frozen_mult,
-            cov=cov,
             util=frozen_util,
-            demand=frozen_demand,
+            cov=cov,
             misp=misp,
             coh=coh,
             residual=residual,
-            rates=rates_out,
-            breakdowns=breakdowns,
+            rates=np.array(rate_rows, dtype=np.float64),
         )
-
-    # ------------------------------------------------------------------
-    def resolve_lanes(
-        self, actives: Sequence[Sequence[ActiveContext]]
-    ) -> List[Dict[str, ResolvedContext]]:
-        """Full per-lane ``resolve()`` dictionaries (the scalar resolver
-        protocol, fanned out of one batched solve) — used by the
-        equivalence tests; the engine driver consumes
-        :meth:`resolve_classes` directly."""
-        sol = self.resolve_classes(actives)
-        struct = sol.struct
-        waste_factor = 1.0 + PREFETCH_WASTE
-        out: List[Dict[str, ResolvedContext]] = []
-        for l, active in enumerate(actives):
-            tx = float(self.packed.bus_transaction_bytes[l])
-            resolved: Dict[str, ResolvedContext] = {}
-            for i, a in enumerate(active):
-                k = struct.class_of[i]
-                label = struct.labels[i]
-                cov = float(sol.cov[l, k])
-                miss_tps = float(sol.demand[l, k]) / tx
-                resolved[label] = ResolvedContext(
-                    active=a,
-                    rates=sol.rates[l][k],
-                    mispredict_rate=float(sol.misp[l, k]),
-                    cpi=sol.breakdowns[l][k],
-                    bus=BusOutcome(
-                        key=label,
-                        latency_multiplier=float(sol.mult[l, k]),
-                        prefetch_coverage=cov,
-                        demand_tps=miss_tps * (1.0 - cov),
-                        prefetch_tps=cov * miss_tps * waste_factor,
-                        utilization=float(sol.util[l, k]),
-                    ),
-                    cpi_eff=sol.cpi_eff[l][k],
-                    coherence_per_instr=float(sol.coh[l, k]),
-                )
-            out.append(resolved)
-        return out
 
 
 # ----------------------------------------------------------------------
-# The lockstep batched engine driver
+# The batched engine: plan, solve, replay
 # ----------------------------------------------------------------------
 
 
@@ -634,24 +602,39 @@ def _lockstep_ok(
     return True
 
 
-def run_batched_single(
-    engines: Sequence[Engine], workloads: Sequence[Workload]
-) -> Optional[List[RunResult]]:
-    """Run ``workloads[l]`` on ``engines[l]`` for all lanes in lockstep.
+@dataclass
+class _RunPlan:
+    """One run key over its lanes, gated and placed (the *plan*)."""
 
-    Returns one :class:`RunResult` per lane, byte-identical to
-    ``engines[l].run_single(workloads[l])``, or ``None`` when the shape
-    does not admit batching (the caller falls back to scalar runs).
-    """
+    engines: Sequence[Engine]
+    specs: List[ProgramSpec]
+    placements: List[Placement]
+    #: Per lane: the program's threads in thread order.
+    teams: List[List[ThreadPlacement]]
+    #: Step structure of each phase (shared by every lane).
+    structs: List[_StepStructure]
+    #: Per phase: the solution holding this run's rows and the index of
+    #: its first row (filled by :func:`_solve`).
+    rows: List[Optional[Tuple[StepSolution, int]]]
+
+    @property
+    def depth(self) -> int:
+        return len(self.engines[0].params.extra_levels)
+
+
+def _plan(
+    engines: Sequence[Engine], workloads: Sequence[Workload]
+) -> Optional[_RunPlan]:
+    """Gate, place and classify one run key; ``None`` declines it."""
     if not engines or len(engines) != len(workloads):
         raise ValueError("need one workload per engine")
     if not _lockstep_ok(engines, workloads):
         return None
 
-    L = len(engines)
     threads0 = engines[0].omp.resolve_threads(engines[0].config.n_threads)
     specs: List[ProgramSpec] = []
-    placements = []
+    placements: List[Placement] = []
+    teams: List[List[ThreadPlacement]] = []
     for e, w in zip(engines, workloads):
         threads = e.omp.resolve_threads(e.config.n_threads)
         if threads != threads0 or threads > e.topology.n_contexts:
@@ -661,45 +644,101 @@ def run_batched_single(
         placement.validate(e.topology)
         specs.append(spec)
         placements.append(placement)
-    team0 = tuple(
-        t.context.label for t in placements[0].program_threads(0)
-    )
-    for pl in placements[1:]:
-        if tuple(t.context.label for t in pl.program_threads(0)) != team0:
+        teams.append(placement.program_threads(0))
+    team0 = tuple(t.context.label for t in teams[0])
+    for team in teams[1:]:
+        if tuple(t.context.label for t in team) != team0:
             return None  # heterogeneous placements
 
-    bres = BatchedFixedPointResolver.from_engines(engines)
+    n_phases = len(workloads[0].phases)
+    structs = [
+        _classify(
+            engines[0].active_contexts(
+                [Progress(spec=specs[0], phase_idx=p)], placements[0]
+            )
+        )
+        for p in range(n_phases)
+    ]
+    return _RunPlan(
+        engines=engines,
+        specs=specs,
+        placements=placements,
+        teams=teams,
+        structs=structs,
+        rows=[None] * n_phases,
+    )
+
+
+def _solve(plans: Sequence[_RunPlan]) -> None:
+    """One batched fixed point per distinct step structure.
+
+    A single-program run advances exactly one phase per step, and a
+    step's solve reads only the machine, the config, the placement and
+    that phase — never an earlier step's state.  Every (lane, run,
+    phase) row is therefore independent, and rows sharing a step
+    structure (and hierarchy depth, for the rate axis) stack into one
+    :meth:`BatchedFixedPointResolver.resolve_classes` call.
+    """
+    groups: Dict[Tuple[_StepStructure, int], List[Tuple[_RunPlan, int]]] = {}
+    for plan in plans:
+        for p, struct in enumerate(plan.structs):
+            groups.setdefault((struct, plan.depth), []).append((plan, p))
+    for (struct, _depth), blocks in groups.items():
+        resolvers: List[FixedPointResolver] = []
+        actives: List[List[ActiveContext]] = []
+        for plan, p in blocks:
+            for e, spec, placement in zip(
+                plan.engines, plan.specs, plan.placements
+            ):
+                resolvers.append(e.resolver)
+                actives.append(e.active_contexts(
+                    [Progress(spec=spec, phase_idx=p)], placement
+                ))
+        sol = BatchedFixedPointResolver(resolvers).resolve_classes(
+            actives, struct
+        )
+        start = 0
+        for plan, p in blocks:
+            plan.rows[p] = (sol, start)
+            start += len(plan.engines)
+
+
+def _replay(plan: _RunPlan) -> Optional[List[RunResult]]:
+    """Walk a solved run's phases: wall times, PMU counters, results.
+
+    ``None`` when a phase is degenerate (the scalar loop handles it).
+    """
+    engines = plan.engines
+    L = len(engines)
     # The event axis: the legacy 19 slots, plus one (access, miss) pair
     # per declared extra hierarchy level (depth is lane-uniform, gated
     # by _lockstep_ok; two-level machines keep exactly STEP_EVENTS).
-    depth = len(engines[0].params.extra_levels)
     event_list: List = list(STEP_EVENTS)
-    for d in range(depth):
+    for d in range(plan.depth):
         event_list.extend(EXTRA_LEVEL_EVENTS[d])
     E = len(event_list)
     clocks = [e.params.core.clock_hz for e in engines]
     schedules = [e.omp.schedule for e in engines]
 
-    progress = [Progress(spec=s) for s in specs]
+    progress = [Progress(spec=s) for s in plan.specs]
     timelines = [Timeline() for _ in range(L)]
     phase_logs: List[List[PhaseRecord]] = [[] for _ in range(L)]
     global_t = [0.0] * L
     #: label -> row in ``totals``, in first-appearance (= scalar
     #: collector insertion) order.
     label_slots: Dict[str, int] = {}
-    totals = np.zeros((L, len(team0), E))
+    totals = np.zeros((L, len(plan.teams[0]), E))
 
-    for _ in range(len(workloads[0].phases)):
-        actives = [
-            engines[l].active_contexts([progress[l]], placements[l])
-            for l in range(L)
-        ]
-        sol = bres.resolve_classes(actives)
-        struct = sol.struct
+    for p in range(len(plan.structs)):
+        sol, start = plan.rows[p]
+        rows = slice(start, start + L)
+        struct = plan.structs[p]
         n_ctx = len(struct.labels)
-        K = struct.lite.n_classes
+        cpi_rows = sol.cpi_eff[rows].tolist()
+        util_rows = sol.util[rows].tolist()
 
         # --- wall time / summaries: python floats, scalar op order ----
+        instrs: List[float] = []
         fulls: List[float] = []
         dts: List[float] = []
         means: List[float] = []
@@ -707,19 +746,17 @@ def run_batched_single(
         for l in range(L):
             prog = progress[l]
             phase = prog.phase
-            n_work = actives[l][0].n_work
+            n_work = prog.spec.n_threads if phase.parallel else 1
             instr_per_thread = phase.instructions / n_work
-            cpis = [
-                sol.cpi_eff[l][struct.class_of[i]] for i in range(n_ctx)
-            ]
+            instrs.append(instr_per_thread)
+            cpis = [cpi_rows[l][struct.class_of[i]] for i in range(n_ctx)]
             times = [instr_per_thread * c / clocks[l] for c in cpis]
             slowest = max(times)
             imb = partition_imbalance(schedules[l], phase.imbalance, n_work)
             slowest *= 1.0 + imb
-            span_cores = len(
-                {a.placement.context.core_key for a in actives[l]}
-            )
-            span_chips = len({a.placement.context.chip for a in actives[l]})
+            team = plan.teams[l][:n_work]
+            span_cores = len({t.context.core_key for t in team})
+            span_chips = len({t.context.chip for t in team})
             sync_cycles = 0.0
             if phase.parallel and n_work > 1:
                 sync_cycles = (
@@ -738,19 +775,11 @@ def run_batched_single(
             dts.append(full * prog.frac_remaining)
             means.append(sum(cpis) / len(cpis))
             peaks.append(
-                max(
-                    float(sol.util[l, struct.class_of[i]])
-                    for i in range(n_ctx)
-                )
+                max(util_rows[l][struct.class_of[i]] for i in range(n_ctx))
             )
 
         # --- PMU counters, vectorized over lanes ----------------------
-        instr = np.array(
-            [
-                progress[l].phase.instructions / actives[l][0].n_work
-                for l in range(L)
-            ]
-        )[:, None]
+        instr = np.array(instrs)[:, None]
         bpi = np.array(
             [progress[l].phase.branches_per_instr for l in range(L)]
         )[:, None]
@@ -758,60 +787,25 @@ def run_batched_single(
             [progress[l].phase.moclears_per_kinstr for l in range(L)]
         )[:, None]
 
-        def rate_arr(name: str) -> np.ndarray:
-            return np.array(
-                [
-                    [getattr(sol.rates[l][k], name) for k in range(K)]
-                    for l in range(L)
-                ]
-            )
-
-        cpi_eff_a = np.array(sol.cpi_eff)
-        stall_a = np.array(sol.stall_eff)
-        l2m = instr * rate_arr("l2_misses_per_instr")
+        rates = sol.rates[rows]
+        misp = sol.misp[rows]
+        cov = sol.cov[rows]
         # Bus transactions carry the *last-level* miss stream; on
-        # two-level machines llc_misses_per_instr reads the same field,
-        # so llcm is the bit-identical twin of l2m there.
-        llcm = instr * rate_arr("llc_misses_per_instr")
-        ev = np.empty((L, K, E))
+        # two-level machines llc_misses_per_instr reads the same field
+        # as l2_misses_per_instr, so llcm is l2m's bit-identical twin.
+        llcm = instr * rates[:, :, 10]
+        ev = np.empty((L, struct.lite.n_classes, E))
         ev[:, :, 0] = instr  # INSTR_RETIRED
-        ev[:, :, 1] = instr * cpi_eff_a  # CYCLES
-        ev[:, :, 2] = instr * stall_a  # STALL_CYCLES
-        ev[:, :, 3] = instr * rate_arr("tc_accesses_per_instr")
-        ev[:, :, 4] = instr * rate_arr("tc_misses_per_instr")
-        ev[:, :, 5] = instr * rate_arr("l1_accesses_per_instr")
-        ev[:, :, 6] = instr * rate_arr("l1_misses_per_instr")
-        ev[:, :, 7] = instr * rate_arr("l2_accesses_per_instr")
-        ev[:, :, 8] = l2m
-        ev[:, :, 9] = instr * rate_arr("itlb_accesses_per_instr")
-        ev[:, :, 10] = instr * rate_arr("itlb_misses_per_instr")
-        ev[:, :, 11] = instr * rate_arr("dtlb_accesses_per_instr")
-        ev[:, :, 12] = instr * rate_arr("dtlb_misses_per_instr")
+        ev[:, :, 1] = instr * sol.cpi_eff[rows]  # CYCLES
+        ev[:, :, 2] = instr * sol.stall_eff[rows]  # STALL_CYCLES
+        ev[:, :, 3:13] = instr[:, :, None] * rates[:, :, :10]  # TC..DTLB
         ev[:, :, 13] = instr * bpi  # BRANCH_RETIRED
-        ev[:, :, 14] = instr * bpi * sol.misp  # BRANCH_MISPRED
-        ev[:, :, 15] = llcm * (1.0 - sol.cov)  # BUS_TRANS_DEMAND
-        ev[:, :, 16] = llcm * sol.cov * (1.0 + PREFETCH_WASTE)
+        ev[:, :, 14] = instr * bpi * misp  # BRANCH_MISPRED
+        ev[:, :, 15] = llcm * (1.0 - cov)  # BUS_TRANS_DEMAND
+        ev[:, :, 16] = llcm * cov * (1.0 + PREFETCH_WASTE)
         ev[:, :, 17] = instr * mo / 1000.0  # MACHINE_CLEAR
-        ev[:, :, 18] = instr * sol.coh  # COHERENCE_TRANSFER
-        for d in range(depth):
-            ev[:, :, 19 + 2 * d] = instr * np.array(
-                [
-                    [
-                        sol.rates[l][k].extra_levels[d].accesses_per_instr
-                        for k in range(K)
-                    ]
-                    for l in range(L)
-                ]
-            )
-            ev[:, :, 20 + 2 * d] = instr * np.array(
-                [
-                    [
-                        sol.rates[l][k].extra_levels[d].misses_per_instr
-                        for k in range(K)
-                    ]
-                    for l in range(L)
-                ]
-            )
+        ev[:, :, 18] = instr * sol.coh[rows]  # COHERENCE_TRANSFER
+        ev[:, :, 19:] = instr[:, :, None] * rates[:, :, 11:]  # L3/L4
         for i in range(n_ctx):
             slot = label_slots.setdefault(
                 struct.labels[i], len(label_slots)
@@ -819,6 +813,7 @@ def run_batched_single(
             totals[:, slot, :] += ev[:, struct.class_of[i], :]
 
         # --- advance every lane across the shared phase boundary ------
+        residual = sol.residual[rows].tolist()
         for l in range(L):
             prog = progress[l]
             timelines[l].add(
@@ -844,27 +839,29 @@ def run_batched_single(
             prog.elapsed += dts[l]
             global_t[l] += dts[l]
             prog.advance_phase()
+            engines[l].resolver.last_residual = residual[l]
 
     # --- unpack per-lane results (scalar-identical construction) ------
     results: List[RunResult] = []
     for l in range(L):
+        lane_totals = totals[l].tolist()
         collector = Collector()
         for lab, slot in label_slots.items():
             collector._sets[(0, lab)] = CounterSet(
-                {event_list[e]: float(totals[l, slot, e]) for e in range(E)}
+                dict(zip(event_list, lane_totals[slot]))
             )
         merged: Dict = {}
         for e in range(E):
             acc = 0.0
-            for _lab, slot in label_slots.items():
-                acc = acc + float(totals[l, slot, e])
+            for slot in label_slots.values():
+                acc = acc + lane_totals[slot][e]
             merged[event_list[e]] = acc
         results.append(
             RunResult(
                 config=engines[l].config,
                 programs=[
                     ProgramResult(
-                        spec=specs[l],
+                        spec=plan.specs[l],
                         runtime_seconds=progress[l].elapsed,
                         counters=CounterSet(merged),
                     )
@@ -875,6 +872,26 @@ def run_batched_single(
             )
         )
     return results
+
+
+def run_batched_single(
+    engines: Sequence[Engine], workloads: Sequence[Workload]
+) -> Optional[List[RunResult]]:
+    """Run ``workloads[l]`` on ``engines[l]`` for all lanes at once.
+
+    Every phase of every lane is solved in one fixed point per step
+    structure, then replayed phase by phase.  Returns one
+    :class:`RunResult` per lane, byte-identical to
+    ``engines[l].run_single(workloads[l])`` (each lane's resolver ends
+    with the final phase's ``last_residual``), or ``None`` when the
+    shape does not admit batching (the caller falls back to scalar
+    runs).
+    """
+    plan = _plan(engines, workloads)
+    if plan is None:
+        return None
+    _solve([plan])
+    return _replay(plan)
 
 
 # ----------------------------------------------------------------------
@@ -906,9 +923,12 @@ def prefetch_study_runs(studies: Sequence, keys: Sequence[Tuple[str, ...]]) -> N
 
     Lanes with identical machine fingerprints are deduplicated (the
     representative's results are preloaded into every twin); keys
-    already satisfied by the run cache are skipped; keys or shapes the
-    batched driver declines are left to lazy scalar computation and
-    counted as fallbacks.
+    already satisfied by the run cache are skipped, so lane subsets may
+    differ per key.  Every remaining key is planned first, then all of
+    their phases are solved together (one fixed point per step
+    structure across the whole sweep), then each key is replayed and
+    preloaded.  Keys or shapes the batched driver declines are left to
+    lazy scalar computation and counted as fallbacks.
     """
     from repro.core.runcache import get_cache
 
@@ -928,6 +948,7 @@ def prefetch_study_runs(studies: Sequence, keys: Sequence[Tuple[str, ...]]) -> N
     cache = get_cache()
     batched_fps: Set[str] = set()
     fallback_fps: Set[str] = set()
+    planned: List[Tuple[Tuple[str, ...], List, _RunPlan]] = []
     for key in keys:
         if key[0] != "single":
             # Multiprogram (pair) runs are scalar-only.
@@ -942,10 +963,21 @@ def prefetch_study_runs(studies: Sequence, keys: Sequence[Tuple[str, ...]]) -> N
         ]
         if not todo:
             continue
-        lane_results = run_batched_single(
+        plan = _plan(
             [st.engine(config) for st in todo],
             [st.workload(bench) for st in todo],
         )
+        if plan is None:
+            fallback_fps.update(st.fingerprint for st in todo)
+            continue
+        planned.append((key, todo, plan))
+
+    _solve([plan for _, _, plan in planned])
+    # Replay in key order, releasing each plan (engines, placements and
+    # its share of the solutions) once its results are preloaded.
+    while planned:
+        key, todo, plan = planned.pop(0)
+        lane_results = _replay(plan)
         if lane_results is None:
             fallback_fps.update(st.fingerprint for st in todo)
             continue

@@ -303,8 +303,8 @@ class Engine:
         self, live: List[Progress], placement: Placement
     ) -> List[ActiveContext]:
         """The busy hardware contexts of one step (public so the
-        lockstep batched driver in :mod:`repro.sim.batch` can mirror the
-        step loop without duplicating team/phase bookkeeping)."""
+        batched engine in :mod:`repro.sim.batch` can build each phase's
+        step without duplicating team/phase bookkeeping)."""
         return self._active_contexts(live, placement)
 
     def _active_contexts(

@@ -7,6 +7,8 @@ bound it needs.  These tests pin that promise three ways:
 
 * exhaustively over the paper's benchmark/configuration matrix on the
   stock machine plus perturbed variants;
+* over a whole prefetched sweep, where every phase of every run key is
+  solved together (one fixed point per step structure);
 * property-based, over random-but-valid machine batches drawn from the
   spec-schema strategies (``repro.testing.strategies``);
 * end-to-end, over pipeline artifacts written with batching forced on
@@ -20,10 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import verify
+from repro.core import runstate
 from repro.core.context import RunContext
+from repro.core.runcache import configure
 from repro.core.study import Study
 from repro.machine.registry import default_params
+from repro.osmodel.process import ProgramSpec
+from repro.sim import batch
+from repro.sim.advance import Progress
 from repro.sim.batch import run_batched_single
+from repro.sim.engine import Engine
 from repro.sim.sensitivity import PERTURBABLE, perturb_params
 from repro.machine.spec import MachineSpec
 from repro.testing.strategies import machine_params, nlevel_machine_trees
@@ -89,6 +97,121 @@ class TestMatrixByteIdentity:
             assert run_batched_single(
                 [study.engine("serial")], [study.workload("cg")]
             ) is None
+
+
+class TestStepAxisBatching:
+    """A prefetched sweep solves every phase of every run key at once:
+    one fixed point per distinct step structure, lanes of different
+    keys and phases stacked, results still byte-identical to scalar."""
+
+    BENCHES = ("cg", "sp", "mg")  # 4, 5 and 3 phases
+    CONFIGS = ("serial", "ht_off_4_2", "ht_on_8_2", "ht_on_4_1")
+    PAIR = ("pair", "CG", "SP", "ht_off_4_2")
+    #: Warmed in the run cache for lane 0 only, so this key's rows
+    #: stack fewer lanes than the other keys sharing its structures.
+    CACHED = ("single", "SP", "ht_on_8_2")
+
+    @staticmethod
+    def _structures(engines, workloads):
+        """Step structure of each phase, classified from lane 0."""
+        e, w = engines[0], workloads[0]
+        spec = ProgramSpec(
+            workload=w,
+            n_threads=e.omp.resolve_threads(e.config.n_threads),
+            program_id=0,
+        )
+        placement = e.scheduler.place([spec], e.topology)
+        return [
+            batch._classify(e.active_contexts(
+                [Progress(spec=spec, phase_idx=p)], placement
+            ))
+            for p in range(len(w.phases))
+        ]
+
+    def test_prefetch_equals_scalar_one_solve_per_structure(
+        self, monkeypatch
+    ):
+        base = default_params()
+        lanes = [
+            Study("B", params=perturb_params(base, PERTURBABLE[i][1], s))
+            for i, s in ((0, 0.8), (6, 1.25), (3, 1.1))
+        ]
+        keys = [
+            ("single", b.upper(), c) for b in self.BENCHES
+            for c in self.CONFIGS
+        ]
+        keys.insert(5, self.PAIR)
+
+        planned = []
+        real_plan = batch._plan
+
+        def spy_plan(engines, workloads):
+            planned.append((list(engines), list(workloads)))
+            return real_plan(engines, workloads)
+
+        solved_rows = []
+        real_resolve = batch.BatchedFixedPointResolver.resolve_classes
+
+        def spy_resolve(self, actives, struct):
+            solved_rows.append(len(actives))
+            return real_resolve(self, actives, struct)
+
+        monkeypatch.setattr(batch, "_plan", spy_plan)
+        monkeypatch.setattr(
+            batch.BatchedFixedPointResolver, "resolve_classes", spy_resolve
+        )
+        configure(reset=True, enabled=True)
+        try:
+            with runstate.run(), verify.verification(False), \
+                    batch.batch_mode("auto"):
+                lanes[0].run("sp", "ht_on_8_2")
+                batch.prefetch_study_runs(lanes, keys)
+                stats = batch.take_stats()
+                monkeypatch.undo()
+
+                # Byte-identical to scalar for every preloaded run.
+                for n, lane in enumerate(lanes):
+                    assert self.PAIR not in lane._preloaded
+                    for key in keys:
+                        if key[0] != "single":
+                            continue
+                        if n == 0 and key == self.CACHED:
+                            assert key not in lane._preloaded
+                            continue
+                        scalar = lane.engine(key[2]).run_single(
+                            lane.workload(key[1])
+                        )
+                        assert_identical_runs(
+                            lane._preloaded[key], scalar, f"{n}/{key}"
+                        )
+
+                # Each lane's resolver ends where its scalar run ends.
+                for engines, workloads in planned:
+                    for e, w in zip(engines, workloads):
+                        scalar = Engine(e.config, params=e.params)
+                        scalar.run_single(w)
+                        assert e.resolver.last_residual is not None
+                        assert e.resolver.last_residual == \
+                            scalar.resolver.last_residual
+        finally:
+            configure(reset=True, enabled=True)
+
+        assert stats.batched_machines == 3
+        assert stats.scalar_fallbacks == 0
+        # One solve per distinct step structure, over every row.
+        assert len(planned) == len(keys) - 1
+        assert min(len(e) for e, _ in planned) == 2  # the cached key
+        structures = set()
+        n_rows = 0
+        for engines, workloads in planned:
+            per_phase = self._structures(engines, workloads)
+            structures.update(per_phase)
+            n_rows += len(engines) * len(per_phase)
+        assert len(solved_rows) == len(structures)
+        assert len(structures) < sum(
+            len(w[0].phases) for _, w in planned
+        )
+        assert sum(solved_rows) == n_rows
 
 
 class TestRandomMachineBatches:
