@@ -39,6 +39,18 @@ instead of crashing (stale pickles used to raise ``AttributeError`` /
 ``ModuleNotFoundError`` straight through ``run-all``) or silently
 deserializing a stale layout.
 
+**Schema 2: programs by reference.**  A ``RunResult`` holds every
+program's :class:`~repro.trace.phase.Workload` graph, and unpickling
+one copy per entry used to dominate warm reads.  :meth:`RunCache.put`
+and :meth:`RunCache.get` take an optional *binder* (a
+:class:`~repro.core.study.Study`): on write, a workload the binder
+memoizes is pickled as a reference (its run-key token, plus the trial
+scale) through a ``Workload``-only entry in the pickler's C-level
+dispatch table; on read, each reference is re-bound to the binder's
+memoized object.  Workloads the binder does not own (an oversubscribed
+run's virtual workload, a twin lane's objects) are pickled by value.
+Entries of schema 1 carry copies, and are quarantined as stale.
+
 **Supervision (PR 9).**  Transient read ``OSError`` is retried with
 bounded deterministic backoff (``CacheStats.read_retries``); repeated
 failures open the ``cache-read`` circuit breaker and the instance
@@ -49,8 +61,11 @@ directory is bounded by :data:`QUARANTINE_MAX_ENTRIES` /
 
 from __future__ import annotations
 
+import contextvars
+import copyreg
 import dataclasses
 import hashlib
+import io
 import os
 import pickle
 import tempfile
@@ -58,7 +73,14 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro.counters.events import Event
+from repro.machine.configurations import (
+    CONFIGURATIONS,
+    MachineConfig,
+    get_config,
+)
 from repro.testing import faults
+from repro.trace.phase import Workload
 
 __all__ = [
     "CACHE_ENTRY_SCHEMA",
@@ -77,7 +99,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Disk-entry envelope schema, bumped whenever the on-disk layout of an
 #: entry changes; entries with any other value are quarantined.
-CACHE_ENTRY_SCHEMA = 1
+CACHE_ENTRY_SCHEMA = 2
 
 #: Magic marker distinguishing an envelope from a legacy raw pickle.
 _ENVELOPE_MAGIC = "repro-runcache"
@@ -97,6 +119,66 @@ QUARANTINE_MAX_AGE_S = 7 * 24 * 3600.0
 
 #: Sentinel distinguishing "not cached" from a cached None.
 _MISS = object()
+
+#: The binder of the disk read being decoded.  Pickle calls
+#: :func:`_bound_workload` with the pickled arguments only, so the
+#: reader's study reaches it through this variable, set and reset
+#: around each decode.
+_DECODING_BINDER: contextvars.ContextVar[Any] = contextvars.ContextVar(
+    "repro_runcache_binder", default=None
+)
+
+
+def _bound_workload(*ref: Any) -> Workload:
+    """Unpickle hook of a by-reference workload: the decoding binder's
+    memoized object for ``ref`` (its ``bind_workload`` arguments)."""
+    binder = _DECODING_BINDER.get()
+    if binder is None:
+        raise pickle.UnpicklingError(
+            "workload reference read without a binder"
+        )
+    return binder.bind_workload(*ref)
+
+
+def _reduce_event(event: Event) -> Any:
+    # By name through C-level ``getattr``, not a Python-level
+    # ``Event(value)`` lookup per counter key.
+    return getattr, (Event, event.name)
+
+
+def _reduce_config(config: MachineConfig) -> Any:
+    if CONFIGURATIONS.get(config.name) is config:
+        return get_config, (config.name,)
+    return config.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+
+
+def _encode(value: Any, binder: Any) -> bytes:
+    """Pickle ``value`` for the disk tier: counter events by name, Table-1
+    configurations by name, and the binder's workloads by reference.
+
+    The reducers sit in the pickler's dispatch table, which the C
+    pickler consults by exact type, so no Python code runs for any other
+    object (unlike a ``persistent_id`` hook, called once per object).
+    """
+    table = {
+        **copyreg.dispatch_table,
+        Event: _reduce_event,
+        MachineConfig: _reduce_config,
+    }
+    if binder is not None:
+
+        def reduce_workload(wl: Workload) -> Any:
+            ref = binder.workload_ref(wl)
+            if ref is None:
+                return wl.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+            return _bound_workload, ref
+
+        table[Workload] = reduce_workload
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = table
+    pickler.dump(value)
+    return buf.getvalue()
 
 
 def study_fingerprint(
@@ -214,8 +296,14 @@ class RunCache:
         return self.disk_dir / f"{entry_key}.pkl"
 
     # ------------------------------------------------------------------
-    def get(self, study_fp: str, run_key: Tuple[Any, ...]) -> Any:
-        """Return the cached value, or the module-level miss sentinel."""
+    def get(
+        self, study_fp: str, run_key: Tuple[Any, ...], binder: Any = None
+    ) -> Any:
+        """Return the cached value, or the module-level miss sentinel.
+
+        ``binder`` re-binds by-reference workloads of a disk entry (see
+        the module docstring); pass the same one :meth:`put` got.
+        """
         if not self.enabled:
             return _MISS
         entry_key = self._entry_key(study_fp, run_key)
@@ -224,7 +312,7 @@ class RunCache:
             return self._mem[entry_key]
         path = self._disk_path(entry_key)
         if path is not None and path.exists():
-            value = self._disk_load(path)
+            value = self._disk_load(path, binder)
             if not RunCache.is_miss(value):
                 self._mem[entry_key] = value
                 self.stats.disk_hits += 1
@@ -232,7 +320,7 @@ class RunCache:
         self.stats.misses += 1
         return _MISS
 
-    def _disk_load(self, path: Path) -> Any:
+    def _disk_load(self, path: Path, binder: Any = None) -> Any:
         """Verify and deserialize one disk entry (miss sentinel on any
         problem; bad *content* is quarantined, bad *IO* is just a miss).
 
@@ -289,13 +377,17 @@ class RunCache:
             payload
         ).hexdigest() != envelope.get("sha256"):
             return self._quarantine(path, "payload checksum mismatch")
+        bound = _DECODING_BINDER.set(binder)
         try:
             return pickle.loads(payload)
         except Exception:
             # Checksum passed but the class layout no longer exists
-            # (same-version refactor): quarantine rather than crash with
+            # (same-version refactor), or a workload reference names no
+            # workload: quarantine rather than crash with
             # AttributeError/ModuleNotFoundError mid run-all.
             return self._quarantine(path, "payload not deserializable")
+        finally:
+            _DECODING_BINDER.reset(bound)
 
     def _quarantine(self, path: Path, reason: str) -> Any:
         """Move a bad entry aside so it is never served *or* retried,
@@ -347,7 +439,15 @@ class RunCache:
             return
         self.stats.evicted += 1
 
-    def put(self, study_fp: str, run_key: Tuple[Any, ...], value: Any) -> None:
+    def put(
+        self,
+        study_fp: str,
+        run_key: Tuple[Any, ...],
+        value: Any,
+        binder: Any = None,
+    ) -> None:
+        """Cache ``value``; a ``binder``'s workloads are written to disk
+        by reference (see the module docstring)."""
         if not self.enabled:
             return
         entry_key = self._entry_key(study_fp, run_key)
@@ -356,7 +456,7 @@ class RunCache:
         if path is None:
             return
         try:
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            payload = _encode(value, binder)
             envelope = {
                 "magic": _ENVELOPE_MAGIC,
                 "schema": CACHE_ENTRY_SCHEMA,

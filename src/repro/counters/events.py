@@ -48,6 +48,11 @@ class Event(enum.Enum):
     L4_ACCESS = "l4_access"
     L4_MISS = "l4_miss"
 
+    #: Members are singletons compared by identity, so the C-level
+    #: identity hash is exact, and it spares every Event-keyed counter
+    #: dict a Python-level ``Enum.__hash__`` call per lookup.
+    __hash__ = object.__hash__
+
     @property
     def is_ratio_numerator(self) -> bool:
         """True for events that form the numerator of a paper metric."""

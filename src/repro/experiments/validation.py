@@ -2,9 +2,10 @@
 
 For every paper benchmark and sharing scenario (idle sibling, same-
 program sibling, different-program sibling), replays sampled streams
-through the structural cache simulators and compares against the
-analytic hierarchy model's closed forms.  This quantifies the error of
-the fast path the experiments run on.
+through the structural cache simulators of the context's machine and
+compares against the analytic hierarchy model's closed forms.  This
+quantifies the error of the fast path the experiments run on.  Replays
+are cached by content, so a warm run replays nothing.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ def run(
     ctx = as_context(ctx)
     cls = ctx.problem_class if problem_class is None else problem_class
     benches = list(benchmarks or PAPER_BENCHMARKS)
-    if ctx.seed is not None:
-        sim = StructuralCoSimulator(samples=samples, seed=ctx.seed)
-    else:
-        sim = StructuralCoSimulator(samples=samples)
+    seed = {} if ctx.seed is None else {"seed": ctx.seed}
+    sim = StructuralCoSimulator(
+        params=ctx.machine_params(), samples=samples, **seed
+    )
     result = ValidationResult()
 
     for bench in benches:
@@ -93,7 +94,7 @@ def run(
         ]
         for label, scenario in scenarios:
             analytic = sim.analytic_for(scenario)
-            structural = sim.measure(scenario)
+            structural = sim.cached_measure(scenario)
             result.rows.append(
                 ValidationRow(
                     benchmark=bench,

@@ -930,8 +930,6 @@ def prefetch_study_runs(studies: Sequence, keys: Sequence[Tuple[str, ...]]) -> N
     preloaded.  Keys or shapes the batched driver declines are left to
     lazy scalar computation and counted as fallbacks.
     """
-    from repro.core.runcache import get_cache
-
     if not studies or not keys:
         return
     if runtime_forces_scalar() or not batching_allowed(len(studies)):
@@ -945,22 +943,17 @@ def prefetch_study_runs(studies: Sequence, keys: Sequence[Tuple[str, ...]]) -> N
     if len(studies) > len(lanes):
         note_deduplicated(len(studies) - len(lanes))
 
-    cache = get_cache()
     batched_fps: Set[str] = set()
     fallback_fps: Set[str] = set()
     planned: List[Tuple[Tuple[str, ...], List, _RunPlan]] = []
     for key in keys:
-        if key[0] != "single":
-            # Multiprogram (pair) runs are scalar-only.
+        if key[0] != "single" or len(key) > 3:
+            # Multiprogram (pair) runs, and runs at a non-default thread
+            # count or workload scale, are scalar-only.
             fallback_fps.update(st.fingerprint for st in lanes)
             continue
         bench, config = key[1], key[2]
-        todo = [
-            st
-            for st in lanes
-            if cache.is_miss(cache.get(st.fingerprint, key))
-            and key not in st._preloaded
-        ]
+        todo = [st for st in lanes if st.lookup(key) is None]
         if not todo:
             continue
         plan = _plan(

@@ -14,15 +14,22 @@ It serves two purposes:
   (the test suite enforces agreement bands); and
 * **drill-down** — users modeling their own workloads can check what the
   closed forms hide (set-conflict artifacts, interleaving granularity).
+
+Replays are deterministic, so :meth:`StructuralCoSimulator.cached_measure`
+stores them in the run cache (:mod:`repro.core.runcache`), keyed by
+content: :meth:`StructuralCoSimulator.scenario_fingerprint`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from repro.core.runcache import get_cache
 from repro.machine.params import MachineParams
 from repro.machine.registry import default_params
 from repro.mem.cache import SetAssocCache
@@ -99,6 +106,30 @@ class StructuralCoSimulator:
         if region_offset:
             stream = stream + region_offset
         return stream
+
+    def scenario_fingerprint(self, scenario: SharingScenario) -> str:
+        """Content hash of everything :meth:`measure` reads: the
+        scenario's phases, team size and sharing, and this simulator's
+        params, samples, warmup and seed.  Never a benchmark label; the
+        replay path (``vectorized``) is left out because both paths
+        produce identical rates."""
+        payload = repr((
+            scenario.phase, scenario.co_phase, scenario.n_threads,
+            scenario.same_data, dataclasses.asdict(self.params),
+            self.samples, self.warmup_fraction, self.seed,
+        ))
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    def cached_measure(self, scenario: SharingScenario) -> StructuralRates:
+        """:meth:`measure` through the run cache: a replay already
+        stored under this scenario's fingerprint is not run again."""
+        cache = get_cache()
+        key = (self.scenario_fingerprint(scenario), ("structural",))
+        rates = cache.get(*key)
+        if cache.is_miss(rates):
+            rates = self.measure(scenario)
+            cache.put(*key, rates)
+        return rates
 
     def measure(self, scenario: SharingScenario) -> StructuralRates:
         """Measure one context's miss rates under the scenario.
@@ -256,8 +287,6 @@ class StructuralCoSimulator:
 
 def _scale_mix_for_threads(mix, n_threads: int):
     """Clone a mix with partitioned footprints divided by the team size."""
-    import dataclasses
-
     from repro.trace.patterns import AccessMix, StencilPattern
 
     if n_threads <= 1:

@@ -8,17 +8,21 @@ so the tuner *measures*: it runs trial iterations of the target workload
 under each schedule on the simulated configuration and commits to the
 fastest — exactly what the runtime-empirical selector of the paper's
 reference does with real trial timesteps.
+
+Trials are ordinary :class:`~repro.core.study.Study` runs (one study per
+schedule, a ``scale`` key field per trial slice), so they land in the
+run cache and a repeated tuning session simulates nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
-from repro.machine.configurations import get_config
+from repro.core.context import RunContext, as_context
+from repro.core.study import Study
 from repro.machine.params import MachineParams
 from repro.openmp.env import OMPEnvironment, ScheduleKind
-from repro.sim.engine import Engine
 from repro.trace.phase import Workload
 
 #: Fraction of the workload used for each trial run.
@@ -47,29 +51,39 @@ def tune_loop_schedule(
     config_name: str,
     params: Optional[MachineParams] = None,
     trial_fraction: float = TRIAL_FRACTION,
+    ctx: Union[RunContext, Study, None] = None,
 ) -> LoopTuneResult:
     """Trial every schedule kind and commit to the fastest.
 
     Args:
         workload: the benchmark to tune.
         config_name: machine configuration to tune on.
-        params: machine-parameter overrides.
+        params: machine-parameter overrides (default: the context's
+            machine).
         trial_fraction: fraction of the full workload each trial runs
             (trials are cheap slices, as in the runtime selector).
+        ctx: the campaign whose machine, scheduler and run cache the
+            trials use (default: a fresh default context).  Each
+            schedule's trial is ``ctx.study(omp=...).run(workload,
+            config_name, scale=trial_fraction)``.
 
     Returns:
         The chosen schedule and the trial timings.
     """
     if not 0 < trial_fraction <= 1:
         raise ValueError("trial_fraction must be in (0, 1]")
-    config = get_config(config_name)
-    trial = workload.scaled(trial_fraction)
+    ctx = as_context(ctx)
+    machine = {} if params is None else {"params": params}
     timings: Dict[ScheduleKind, float] = {}
     for kind in ScheduleKind:
-        engine = Engine(
-            config, params=params, omp=OMPEnvironment(schedule=kind)
+        study = ctx.study(
+            problem_class=workload.problem_class,
+            omp=OMPEnvironment(schedule=kind),
+            **machine,
         )
-        timings[kind] = engine.run_single(trial).runtime_seconds
+        timings[kind] = study.run(
+            workload, config_name, scale=trial_fraction
+        ).runtime_seconds
     chosen = min(timings, key=timings.get)
     return LoopTuneResult(
         workload=workload.name,

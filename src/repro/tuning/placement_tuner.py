@@ -7,18 +7,21 @@ memory-bound, one compute-bound) or mutually destructive.  The tuner
 samples every candidate placement policy over a short trial interval,
 scores system throughput (sum of the programs' progress rates), commits
 to the winner, and reports the predicted full-run outcome.
+
+Trials and full runs are :meth:`~repro.core.study.Study.run_pair` runs
+(one study per policy, a ``scale`` key field per trial slice), so they
+land in the run cache; a full run under ``linux_default`` is the very
+entry the multiprogram figures read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.machine.configurations import get_config
+from repro.core.context import RunContext, as_context
+from repro.core.study import Study
 from repro.machine.params import MachineParams
-from repro.osmodel.process import ProgramSpec
-from repro.osmodel.scheduler import make_scheduler
-from repro.sim.engine import Engine
 from repro.trace.phase import Workload
 
 #: Placement policies the tuner samples.
@@ -63,28 +66,32 @@ def tune_placement(
     params: Optional[MachineParams] = None,
     policies: Sequence[str] = CANDIDATE_POLICIES,
     trial_fraction: float = TRIAL_FRACTION,
+    ctx: Union[RunContext, Study, None] = None,
 ) -> PlacementTuneResult:
     """Sample placement policies on trial intervals; commit to the best.
+
+    ``params`` overrides the machine of ``ctx`` (the campaign whose
+    machine and run cache the runs use; default: a fresh default
+    context).  Each policy runs as ``ctx.study(scheduler=policy)
+    .run_pair(...)``, threads split evenly.
 
     Returns the chosen policy plus both trial scores and full-run
     makespans (so callers can compute the tuner's regret).
     """
     if not 0 < trial_fraction <= 1:
         raise ValueError("trial_fraction must be in (0, 1]")
-    config = get_config(config_name)
-    per_prog = max(config.n_contexts // 2, 1)
+    ctx = as_context(ctx)
+    machine = {} if params is None else {"params": params}
 
     def run_with(policy: str, scale: float) -> float:
-        engine = Engine(
-            config, params=params, scheduler=make_scheduler(policy)
+        study = ctx.study(
+            problem_class=workload_a.problem_class,
+            scheduler=policy,
+            **machine,
         )
-        specs = [
-            ProgramSpec(workload=workload_a.scaled(scale),
-                        n_threads=per_prog, program_id=0),
-            ProgramSpec(workload=workload_b.scaled(scale),
-                        n_threads=per_prog, program_id=1),
-        ]
-        return engine.run(specs).runtime_seconds
+        return study.run_pair(
+            workload_a, workload_b, config_name, scale=scale
+        ).runtime_seconds
 
     trial_scores = {
         p: 1.0 / run_with(p, trial_fraction) for p in policies
