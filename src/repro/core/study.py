@@ -91,13 +91,10 @@ class Study:
         recorder = runstate.current().recorder
         if recorder is not None:
             recorder(self, key)
-        cache = self._cache
-        value = cache.get(self._fingerprint, key, binder=self)
-        if cache.is_miss(value):
-            value = self._preloaded.get(key)
-            if value is None:
-                value = compute()
-            cache.put(self._fingerprint, key, value, binder=self)
+        value = self.lookup(key)
+        if value is None:
+            value = compute()
+            self._cache.put(self._fingerprint, key, value, binder=self)
         return value
 
     def lookup(self, key: Tuple[str, ...]) -> Optional[RunResult]:
